@@ -33,7 +33,7 @@ fn exact_sharded(trace: &Trace) -> StreamHistogram {
     let source = TraceSource::Memory(trace.clone());
     let threads = default_threads();
     let mut ingest =
-        TraceIngest::new(&source, (threads * 2).max(4), threads).expect("memory source");
+        TraceIngest::new(&source, (threads * 2).max(4), None, threads).expect("memory source");
     ingest.run_pending(&source, None);
     ingest.histogram().expect("complete").clone()
 }

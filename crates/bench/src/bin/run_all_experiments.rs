@@ -25,6 +25,7 @@ use std::process::Command;
 use symloc_bench::sweepbench::{measure_suite, speedup_at, suite_json};
 use symloc_bench::tracebench::measure_trace_suite;
 use symloc_core::engine::SweepSpec;
+use symloc_core::job::{JobRunner, RunOptions};
 use symloc_core::shard::ShardedSweep;
 use symloc_par::default_threads;
 
@@ -93,11 +94,14 @@ fn run_sweep12(checkpoint: &Path, max_shards: Option<usize>) -> Result<(), Strin
             sweep.shard_count()
         );
     }
-    sweep
-        .run_with_checkpoint(checkpoint, max_shards, |done, total| {
-            println!("shard {done} / {total} done (checkpoint saved)");
-        })
-        .map_err(|e| format!("cannot write checkpoint: {e}"))?;
+    let mut report = |done, total| println!("shard {done} / {total} done (checkpoint saved)");
+    let options = RunOptions {
+        limit: max_shards,
+        checkpoint: Some(checkpoint),
+        metrics: None,
+        on_batch: Some(&mut report),
+    };
+    JobRunner::run(&mut sweep, options).map_err(|e| format!("cannot write checkpoint: {e}"))?;
     match sweep.merged_levels() {
         Some(levels) => {
             let total: u64 = levels.iter().map(|l| l.count).sum();

@@ -22,7 +22,7 @@ use symloc_core::obs::{MetricsRegistry, Span};
 use symloc_core::partition::{solve, Bounds, TenantCurve};
 use symloc_core::serve::ServeState;
 use symloc_core::tracesweep::{
-    FusedIngest, MrcPoint, OnlineReuseEngine, SampledIngest, ShardsEstimator, TraceIngest,
+    MrcPoint, OnlineReuseEngine, SampledIngest, SampledPlan, ShardsEstimator, TraceIngest,
 };
 use symloc_par::default_threads;
 use symloc_trace::binio::{sltr_index_path, write_sltr, write_sltr_indexed, SltrReader};
@@ -223,8 +223,8 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         threads,
         runs.min(3),
         || {
-            let mut ingest =
-                TraceIngest::new(&source, (threads * 4).max(8), threads).expect("memory source");
+            let mut ingest = TraceIngest::new(&source, (threads * 4).max(8), None, threads)
+                .expect("memory source");
             ingest.run_pending(&source, None);
             assert!(ingest.is_complete());
         },
@@ -333,7 +333,7 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         runs.min(3),
         || {
             let mut ingest =
-                TraceIngest::new(&plain_source, chunks, threads).expect("written payload");
+                TraceIngest::new(&plain_source, chunks, None, threads).expect("written payload");
             ingest.run_pending(&plain_source, None);
             assert!(ingest.is_complete());
         },
@@ -346,7 +346,7 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         runs.min(3),
         || {
             let mut ingest =
-                TraceIngest::new(&indexed_source, chunks, threads).expect("written payload");
+                TraceIngest::new(&indexed_source, chunks, None, threads).expect("written payload");
             ingest.run_pending(&indexed_source, None);
             assert!(ingest.is_complete());
         },
@@ -372,7 +372,8 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         threads,
         runs.min(3),
         || {
-            let mut exact = TraceIngest::new(&text_source, chunks, threads).expect("written trace");
+            let mut exact =
+                TraceIngest::new(&text_source, chunks, None, threads).expect("written trace");
             exact.run_pending(&text_source, None);
             assert!(exact.is_complete());
             let mut sampled =
@@ -388,9 +389,12 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         threads,
         runs.min(3),
         || {
+            let plan = SampledPlan {
+                shard_count: hash_shards,
+                budget_per_shard: sampled_budget,
+            };
             let mut fused =
-                FusedIngest::new(&text_source, chunks, hash_shards, sampled_budget, threads)
-                    .expect("written trace");
+                TraceIngest::new(&text_source, chunks, Some(plan), threads).expect("written trace");
             fused.run_pending(&text_source, None);
             assert!(fused.is_complete());
         },

@@ -3,7 +3,7 @@
 //!
 //! Before this module existed the workspace carried four near-duplicate
 //! resumable-execution implementations — [`crate::shard::ShardedSweep`],
-//! [`crate::shard::SampledSweep`], [`crate::tracesweep::TraceIngest`] and
+//! [`crate::shard::SampledSweep`], the chunked trace ingest and
 //! [`crate::tracesweep::SampledIngest`] — each hand-rolling the same
 //! lifecycle: partition the work into deterministic units, run pending
 //! units in parallel, absorb completed partials in unit order, save an
@@ -21,9 +21,8 @@
 //!   scheduling over [`symloc_par::parallel_reduce_chunked`]
 //!   (`std::thread::scope` underneath), bounded in-flight checkpointing
 //!   with atomic saves ([`crate::jsonio::save_atomic`]), progress
-//!   callbacks, and the deterministic unit-order merge. Every
-//!   `run_pending` / `run_with_checkpoint` / `save` across the four
-//!   pipelines is a thin delegation into this runner.
+//!   callbacks, and the deterministic unit-order merge, all behind one
+//!   entry point, [`JobRunner::run`], configured by [`RunOptions`].
 //! * [`JobKind`] — the closed registry of checkpoint kinds, used to
 //!   dispatch `symloc job status` / `symloc job resume` on whatever kind
 //!   a checkpoint file records, and to make cross-kind resumes
@@ -46,7 +45,7 @@
 //!   at a time on the caller thread; jobs whose merge state advances
 //!   between passes (the exact trace ingest) return the thread count.
 //! * [`Job::units_per_checkpoint`] — how many units complete between
-//!   checkpoint saves in [`JobRunner::run_with_checkpoint`].
+//!   checkpoint saves when [`RunOptions::checkpoint`] is set.
 //!
 //! Because units are deterministic and absorption is ordered, resuming a
 //! killed job from its checkpoint reproduces the uninterrupted run
@@ -74,13 +73,14 @@ pub enum JobKind {
     /// A sampled level-sharded sweep ([`crate::shard::SampledSweep`]).
     SampledSweep,
     /// An exact chunk-sharded trace ingest
-    /// ([`crate::tracesweep::TraceIngest`]).
+    /// ([`crate::tracesweep::TraceIngest`] with no sampled half).
     TraceIngest,
     /// A sampled hash-sharded trace ingest
     /// ([`crate::tracesweep::SampledIngest`]).
     SampledIngest,
     /// A fused exact+sampled trace ingest — one streaming pass feeding
-    /// both engines ([`crate::tracesweep::FusedIngest`]).
+    /// both engines ([`crate::tracesweep::TraceIngest`] with a
+    /// [`crate::tracesweep::SampledPlan`]).
     FusedIngest,
     /// The persisted tenant table of the `symloc serve` daemon
     /// ([`crate::serve::ServeState`]).
@@ -198,8 +198,8 @@ pub trait Job: Sync {
         usize::MAX
     }
 
-    /// Units between checkpoint saves in
-    /// [`JobRunner::run_with_checkpoint`].
+    /// Units between checkpoint saves of a checkpointed
+    /// [`JobRunner::run`].
     fn units_per_checkpoint(&self, threads: usize) -> usize {
         threads
     }
@@ -238,6 +238,30 @@ pub struct JobRunner;
 /// `(elapsed nanos, units in span)` timing (empty when unmetered).
 type PassResults<P> = (Vec<(usize, P)>, Vec<(u64, usize)>);
 
+/// How one [`JobRunner::run`] call executes: how many units, whether and
+/// where to checkpoint, and what observes the run. `RunOptions::default()`
+/// runs every pending unit with no checkpoint and no instrumentation.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Run at most this many units (all pending units when `None`).
+    pub limit: Option<usize>,
+    /// Save the checkpoint here atomically after every batch of (at most)
+    /// [`Job::units_per_checkpoint`] units, and write the [`Heartbeat`]
+    /// sidecar next to it.
+    pub checkpoint: Option<&'a Path>,
+    /// Instrumentation: each worker span's wall time rides back with its
+    /// results and lands in the registry after the pass — `job.unit_nanos`
+    /// (each unit's share of its worker span), `job.absorb_nanos` (the
+    /// sequential merge), the `job.units` / `job.passes` counters and the
+    /// `job.elapsed_secs` gauge; checkpointed runs add `job.save_nanos`,
+    /// `job.batches` and the heartbeat gauges. Metering is
+    /// result-invariant: scheduling, unit order, every absorbed partial and
+    /// the checkpoint bytes are identical with and without a registry.
+    pub metrics: Option<&'a mut MetricsRegistry>,
+    /// `on_batch(completed, total)` fires after every checkpoint save.
+    pub on_batch: Option<&'a mut dyn FnMut(usize, usize)>,
+}
+
 impl JobRunner {
     /// True when every unit of `job` has been absorbed.
     #[must_use]
@@ -245,151 +269,59 @@ impl JobRunner {
         job.completed_count() >= job.unit_count()
     }
 
-    /// Runs up to `limit` pending units (all of them when `None`) in
-    /// parallel passes of at most [`Job::units_per_pass`] units, absorbing
-    /// partials in unit order after each pass. Returns how many units were
-    /// processed.
-    pub fn run_pending<J: Job + ?Sized>(job: &mut J, limit: Option<usize>) -> usize {
-        Self::run_pending_metered(job, limit, None)
-    }
-
-    /// [`JobRunner::run_pending`] with optional instrumentation: when
-    /// `metrics` is supplied, each worker span's wall time rides back with
-    /// its results (shard-per-worker, merged like the partials themselves)
-    /// and is folded into the registry after the pass — `job.unit_nanos`
-    /// (each unit's share of its worker span), `job.absorb_nanos` (the
-    /// sequential merge), and the `job.units` / `job.passes` counters.
+    /// Runs up to `options.limit` pending units (all of them when `None`)
+    /// in parallel passes of at most [`Job::units_per_pass`] units,
+    /// absorbing partials in unit order after each pass, and returns how
+    /// many units were processed.
     ///
-    /// Metering is result-invariant: the scheduling, the unit order and
-    /// every absorbed partial are identical with and without a registry —
-    /// the registry only receives copies of timings and counts.
-    pub fn run_pending_metered<J: Job + ?Sized>(
-        job: &mut J,
-        limit: Option<usize>,
-        mut metrics: Option<&mut MetricsRegistry>,
-    ) -> usize {
-        let threads = job.threads().max(1);
-        let mut ran = 0usize;
-        loop {
-            if limit.is_some_and(|l| ran >= l) {
-                break;
-            }
-            let pending = job.pending_units();
-            if pending.is_empty() {
-                break;
-            }
-            let cap = limit.map_or(usize::MAX, |l| l - ran);
-            let pass = pending
-                .len()
-                .min(cap)
-                .min(job.units_per_pass(threads).max(1));
-            let units = &pending[..pass];
-            // One parallel pass: contiguous spans of the unit prefix go to
-            // the workers; concatenating the per-span vectors preserves
-            // unit order, so absorption below is deterministic. Worker
-            // span timings (metered runs only) ride along in the same
-            // accumulator.
-            let shared: &J = job;
-            let metered = metrics.is_some();
-            let (results, span_times): PassResults<J::Partial> = parallel_reduce_chunked(
-                units.len(),
-                threads,
-                || (Vec::new(), Vec::new()),
-                |mut acc, chunk| {
-                    if !chunk.is_empty() {
-                        let span = metered.then(Span::start);
-                        shared.run_span(&units[chunk.start..chunk.end], &mut acc.0);
-                        if let Some(span) = span {
-                            acc.1.push((span.elapsed_nanos(), chunk.end - chunk.start));
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    a.0.extend(b.0);
-                    a.1.extend(b.1);
-                    a
-                },
-            );
-            debug_assert!(
-                results.windows(2).all(|w| w[0].0 < w[1].0),
-                "span results must arrive in unit order"
-            );
-            if let Some(reg) = metrics.as_deref_mut() {
-                for &(nanos, units_in_span) in &span_times {
-                    let share = nanos / units_in_span.max(1) as u64;
-                    for _ in 0..units_in_span {
-                        reg.observe("job.unit_nanos", share);
-                    }
-                }
-                reg.add("job.passes", 1);
-                reg.add("job.units", pass as u64);
-                for (unit, partial) in results {
-                    let span = Span::start();
-                    job.absorb(unit, partial);
-                    span.record(reg, "job.absorb_nanos");
-                }
-            } else {
-                for (unit, partial) in results {
-                    job.absorb(unit, partial);
-                }
-            }
-            ran += pass;
-        }
-        ran
-    }
-
-    /// Runs pending units — all of them, or up to `limit` — saving the
-    /// checkpoint to `path` atomically after every batch of (at most)
-    /// [`Job::units_per_checkpoint`] units, so a kill loses at most one
-    /// batch (and a kill mid-save leaves the previous checkpoint intact).
-    /// `on_batch(completed, total)` fires after every save. The
-    /// checkpoint is (re)written even when nothing was pending, so a
-    /// fresh plan always lands on disk.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint<J: Job + ?Sized>(
-        job: &mut J,
-        path: &Path,
-        limit: Option<usize>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        Self::run_with_checkpoint_metered(job, path, limit, None, on_batch)
-    }
-
-    /// [`JobRunner::run_with_checkpoint`] with optional instrumentation:
-    /// units run through [`JobRunner::run_pending_metered`], every save's
-    /// latency lands in the `job.save_nanos` histogram, and the heartbeat's
-    /// throughput/ETA figures are mirrored as gauges. Like the plain
-    /// checkpoint loop this variant writes the [`Heartbeat`] sidecar after
-    /// every batch; metering never changes the checkpoint bytes.
+    /// With a checkpoint path the units run in batches of (at most)
+    /// [`Job::units_per_checkpoint`]; the checkpoint is saved atomically
+    /// after every batch, so a kill loses at most one batch (and a kill
+    /// mid-save leaves the previous checkpoint intact). The checkpoint is
+    /// (re)written even when nothing was pending, so a fresh plan always
+    /// lands on disk, and a run that completes the job removes its
+    /// heartbeat sidecar.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if a checkpoint cannot be written (heartbeat
-    /// sidecar writes are best-effort and never fail the run).
-    pub fn run_with_checkpoint_metered<J: Job + ?Sized>(
-        job: &mut J,
-        path: &Path,
-        limit: Option<usize>,
-        mut metrics: Option<&mut MetricsRegistry>,
-        mut on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
+    /// sidecar writes are best-effort and never fail the run). A run
+    /// without a checkpoint never fails.
+    pub fn run<J: Job + ?Sized>(job: &mut J, options: RunOptions<'_>) -> std::io::Result<usize> {
+        let RunOptions {
+            limit,
+            checkpoint,
+            mut metrics,
+            mut on_batch,
+        } = options;
         let threads = job.threads().max(1);
         let run_span = Span::start();
         let started_at = job.completed_count();
+        let per_batch = match checkpoint {
+            Some(_) => job.units_per_checkpoint(threads).max(1),
+            None => usize::MAX,
+        };
         let mut batches = 0u64;
         let mut ran = 0usize;
         while !Self::is_complete(job) && limit.is_none_or(|l| ran < l) {
-            let batch = job
-                .units_per_checkpoint(threads)
-                .max(1)
-                .min(limit.map_or(usize::MAX, |l| l - ran));
+            let batch = per_batch.min(limit.map_or(usize::MAX, |l| l - ran));
             let batch_span = Span::start();
             let before = job.completed_count();
-            ran += Self::run_pending_metered(job, Some(batch), metrics.as_deref_mut());
+            let mut in_batch = 0usize;
+            while in_batch < batch {
+                let pending = job.pending_units();
+                if pending.is_empty() {
+                    break;
+                }
+                let pass = pending
+                    .len()
+                    .min(batch - in_batch)
+                    .min(job.units_per_pass(threads).max(1));
+                Self::pass(job, &pending[..pass], threads, metrics.as_deref_mut());
+                in_batch += pass;
+            }
+            ran += in_batch;
+            let Some(path) = checkpoint else { break };
             let save_span = Span::start();
             Self::save(job, path)?;
             let save_nanos = save_span.elapsed_nanos();
@@ -401,18 +333,86 @@ impl JobRunner {
                 reg.add("job.batches", 1);
                 heartbeat.record_gauges(reg);
             }
-            on_batch(job.completed_count(), job.unit_count());
+            if let Some(on_batch) = on_batch.as_deref_mut() {
+                on_batch(job.completed_count(), job.unit_count());
+            }
+            if in_batch == 0 {
+                break;
+            }
         }
-        if ran == 0 {
-            Self::save(job, path)?;
+        if let Some(path) = checkpoint {
+            if ran == 0 {
+                Self::save(job, path)?;
+            }
+            if Self::is_complete(job) {
+                // The sidecar is live in-flight state; a completed run
+                // cleans it up so `job status` never reads a finished
+                // job's last heartbeat as live progress.
+                let _ = std::fs::remove_file(Heartbeat::sidecar_path(path));
+            }
         }
-        if Self::is_complete(job) {
-            // The sidecar is live in-flight state; a completed run cleans
-            // it up so `job status` never reads a finished job's last
-            // heartbeat as live progress.
-            let _ = std::fs::remove_file(Heartbeat::sidecar_path(path));
+        if let Some(reg) = metrics {
+            reg.set_gauge("job.elapsed_secs", run_span.elapsed_secs());
         }
         Ok(ran)
+    }
+
+    /// One parallel pass over `units` (a prefix of the pending list):
+    /// contiguous spans go to the workers, and concatenating the per-span
+    /// vectors preserves unit order, so absorption is deterministic.
+    /// Worker span timings (metered runs only) ride along in the same
+    /// accumulator.
+    fn pass<J: Job + ?Sized>(
+        job: &mut J,
+        units: &[usize],
+        threads: usize,
+        metrics: Option<&mut MetricsRegistry>,
+    ) {
+        let shared: &J = job;
+        let metered = metrics.is_some();
+        let (results, span_times): PassResults<J::Partial> = parallel_reduce_chunked(
+            units.len(),
+            threads,
+            || (Vec::new(), Vec::new()),
+            |mut acc, chunk| {
+                if !chunk.is_empty() {
+                    let span = metered.then(Span::start);
+                    shared.run_span(&units[chunk.start..chunk.end], &mut acc.0);
+                    if let Some(span) = span {
+                        acc.1.push((span.elapsed_nanos(), chunk.end - chunk.start));
+                    }
+                }
+                acc
+            },
+            |mut a, b| {
+                a.0.extend(b.0);
+                a.1.extend(b.1);
+                a
+            },
+        );
+        debug_assert!(
+            results.windows(2).all(|w| w[0].0 < w[1].0),
+            "span results must arrive in unit order"
+        );
+        let Some(reg) = metrics else {
+            for (unit, partial) in results {
+                job.absorb(unit, partial);
+            }
+            return;
+        };
+        for &(nanos, units_in_span) in &span_times {
+            let share = nanos / units_in_span.max(1) as u64;
+            for _ in 0..units_in_span {
+                reg.observe("job.unit_nanos", share);
+            }
+        }
+        reg.add("job.passes", 1);
+        reg.add("job.units", units.len() as u64);
+        for (unit, partial) in results {
+            let span = Span::start();
+            job.absorb(unit, partial);
+            span.record(reg, "job.absorb_nanos");
+        }
     }
 
     /// Writes the job's checkpoint to `path` atomically (temp file +
@@ -432,7 +432,7 @@ pub const HEARTBEAT_KIND: &str = "symloc_job_heartbeat";
 /// The heartbeat sidecar schema version.
 pub const HEARTBEAT_VERSION: u64 = 1;
 
-/// The live-progress sidecar [`JobRunner::run_with_checkpoint`] writes
+/// The live-progress sidecar a checkpointed [`JobRunner::run`] writes
 /// next to the checkpoint (`<ckpt>.hb`) after every batch: units done,
 /// kind-specific progress items ([`Job::progress_items`]), instantaneous
 /// and cumulative throughput, and an ETA. `symloc job status` reads it to
@@ -722,34 +722,54 @@ pub fn write_checkpoint_header(out: &mut String, kind: JobKind, fingerprint: &st
 /// can never quietly misparse it.
 pub fn parse_checkpoint(text: &str, expected: JobKind) -> Result<JsonValue, String> {
     let doc = jsonio::parse(text)?;
-    match doc.get("kind").and_then(JsonValue::as_str) {
+    checkpoint_kind(&doc, &[expected])?;
+    Ok(doc)
+}
+
+/// Validates the header of a parsed checkpoint document for a decoder
+/// that reads every kind in `accepted`, returning the kind it holds.
+///
+/// # Errors
+///
+/// As [`parse_checkpoint`]; a kind mismatch names every accepted kind.
+pub fn checkpoint_kind(doc: &JsonValue, accepted: &[JobKind]) -> Result<JobKind, String> {
+    let expected = accepted[0];
+    let kind = match doc.get("kind").and_then(JsonValue::as_str) {
         None => {
             return Err(format!(
                 "not a {} checkpoint (no kind field)",
                 expected.describe()
             ))
         }
-        Some(tag) if tag != expected.kind_str() => {
-            return Err(match JobKind::parse(tag) {
-                Some(found) => format!(
+        Some(tag) => match JobKind::parse(tag) {
+            Some(found) if accepted.contains(&found) => found,
+            Some(found) => {
+                let wanted: Vec<String> = accepted
+                    .iter()
+                    .map(|k| format!("{} ({:?})", k.describe(), k.kind_str()))
+                    .collect();
+                return Err(format!(
                     "checkpoint kind mismatch: this file holds a {} ({:?}), not the {} \
-                     ({:?}) being decoded; resume it with the matching command or \
+                     being decoded; resume it with the matching command or \
                      `symloc job resume`",
                     found.describe(),
                     tag,
-                    expected.describe(),
-                    expected.kind_str(),
-                ),
-                None => format!("not a {} checkpoint (kind = {tag:?})", expected.describe()),
-            });
-        }
-        Some(_) => {}
-    }
+                    wanted.join(" or "),
+                ));
+            }
+            None => {
+                return Err(format!(
+                    "not a {} checkpoint (kind = {tag:?})",
+                    expected.describe()
+                ))
+            }
+        },
+    };
     let version = doc.get("version").and_then(JsonValue::as_u64);
-    if version != Some(expected.version()) {
+    if version != Some(kind.version()) {
         return Err(format!("unsupported checkpoint version {version:?}"));
     }
-    Ok(doc)
+    Ok(kind)
 }
 
 /// The kind recorded in a checkpoint document, if it parses as JSON and
@@ -875,14 +895,22 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
                 ],
             })
         }
-        JobKind::TraceIngest => {
+        JobKind::TraceIngest | JobKind::FusedIngest => {
             let ingest = crate::tracesweep::TraceIngest::from_json(text, 1)?;
+            let mut detail = vec![detail_pair("accesses", ingest.total_accesses().to_string())];
+            if let Some(plan) = ingest.sampled_plan() {
+                detail.push(detail_pair("hash shards", plan.shard_count.to_string()));
+                detail.push(detail_pair(
+                    "budget per shard",
+                    plan.budget_per_shard.to_string(),
+                ));
+            }
             Ok(JobStatus {
                 kind,
                 fingerprint: ingest.fingerprint().to_string(),
                 completed: ingest.completed_count(),
                 total: ingest.chunk_count(),
-                detail: vec![detail_pair("accesses", ingest.total_accesses().to_string())],
+                detail,
             })
         }
         JobKind::SampledIngest => {
@@ -894,20 +922,6 @@ pub fn checkpoint_status(text: &str) -> Result<JobStatus, String> {
                 total: ingest.shard_count(),
                 detail: vec![
                     detail_pair("accesses", ingest.total_accesses().to_string()),
-                    detail_pair("budget per shard", ingest.budget_per_shard().to_string()),
-                ],
-            })
-        }
-        JobKind::FusedIngest => {
-            let ingest = crate::tracesweep::FusedIngest::from_json(text, 1)?;
-            Ok(JobStatus {
-                kind,
-                fingerprint: ingest.fingerprint().to_string(),
-                completed: ingest.completed_count(),
-                total: ingest.chunk_count(),
-                detail: vec![
-                    detail_pair("accesses", ingest.total_accesses().to_string()),
-                    detail_pair("hash shards", ingest.shard_count().to_string()),
                     detail_pair("budget per shard", ingest.budget_per_shard().to_string()),
                 ],
             })
@@ -1071,15 +1085,24 @@ mod tests {
         }
     }
 
+    /// Runs up to `limit` units with no checkpoint and no metrics.
+    fn run_limit(job: &mut ToyJob, limit: Option<usize>) -> usize {
+        let options = RunOptions {
+            limit,
+            ..RunOptions::default()
+        };
+        JobRunner::run(job, options).expect("no checkpoint, no I/O")
+    }
+
     #[test]
     fn runner_completes_and_is_thread_invariant() {
         for threads in [1, 2, 5] {
             let mut job = ToyJob::new(17, threads);
-            assert_eq!(JobRunner::run_pending(&mut job, None), 17);
+            assert_eq!(run_limit(&mut job, None), 17);
             assert!(JobRunner::is_complete(&job));
             assert_eq!(job.sum, (1..=17).sum::<u64>(), "threads={threads}");
             // Nothing left: running again is a no-op.
-            assert_eq!(JobRunner::run_pending(&mut job, None), 0);
+            assert_eq!(run_limit(&mut job, None), 0);
         }
     }
 
@@ -1087,10 +1110,10 @@ mod tests {
     fn runner_respects_limits_and_pass_bounds() {
         let mut job = ToyJob::new(10, 3);
         job.per_pass = 2;
-        assert_eq!(JobRunner::run_pending(&mut job, Some(5)), 5);
+        assert_eq!(run_limit(&mut job, Some(5)), 5);
         assert_eq!(job.completed_count(), 5);
-        assert_eq!(JobRunner::run_pending(&mut job, Some(0)), 0);
-        assert_eq!(JobRunner::run_pending(&mut job, None), 5);
+        assert_eq!(run_limit(&mut job, Some(0)), 0);
+        assert_eq!(run_limit(&mut job, None), 5);
         assert!(JobRunner::is_complete(&job));
     }
 
@@ -1104,21 +1127,26 @@ mod tests {
         let mut job = ToyJob::new(6, 1);
         job.per_checkpoint = 2;
         let mut progress = Vec::new();
-        let ran = JobRunner::run_with_checkpoint(&mut job, &path, None, |done, total| {
-            progress.push((done, total));
-        })
-        .unwrap();
+        let mut record = |done, total| progress.push((done, total));
+        let options = RunOptions {
+            checkpoint: Some(&path),
+            on_batch: Some(&mut record),
+            ..RunOptions::default()
+        };
+        let ran = JobRunner::run(&mut job, options).unwrap();
         assert_eq!(ran, 6);
         assert_eq!(progress, vec![(2, 6), (4, 6), (6, 6)]);
         let saved = std::fs::read_to_string(&path).unwrap();
         assert_eq!(saved, job.to_json());
         // Complete job: nothing runs, checkpoint still rewritten, no
         // progress callback.
-        let ran = JobRunner::run_with_checkpoint(&mut job, &path, None, |_, _| {
-            panic!("no batch should complete")
-        })
-        .unwrap();
-        assert_eq!(ran, 0);
+        let mut never = |_, _| panic!("no batch should complete");
+        let options = RunOptions {
+            checkpoint: Some(&path),
+            on_batch: Some(&mut never),
+            ..RunOptions::default()
+        };
+        assert_eq!(JobRunner::run(&mut job, options).unwrap(), 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1127,16 +1155,18 @@ mod tests {
         let mut plain = ToyJob::new(9, 2);
         let mut metered = ToyJob::new(9, 2);
         let mut reg = MetricsRegistry::new();
-        assert_eq!(JobRunner::run_pending(&mut plain, None), 9);
-        assert_eq!(
-            JobRunner::run_pending_metered(&mut metered, None, Some(&mut reg)),
-            9
-        );
+        assert_eq!(run_limit(&mut plain, None), 9);
+        let options = RunOptions {
+            metrics: Some(&mut reg),
+            ..RunOptions::default()
+        };
+        assert_eq!(JobRunner::run(&mut metered, options).unwrap(), 9);
         assert_eq!(plain.to_json(), metered.to_json());
         assert_eq!(reg.counter("job.units"), Some(9));
         assert!(reg.counter("job.passes").unwrap_or(0) >= 1);
         assert_eq!(reg.histogram("job.unit_nanos").unwrap().count(), 9);
         assert_eq!(reg.histogram("job.absorb_nanos").unwrap().count(), 9);
+        assert!(reg.gauge("job.elapsed_secs").is_some());
     }
 
     #[test]
@@ -1158,15 +1188,13 @@ mod tests {
         let mut job = ToyJob::new(6, 1);
         job.per_checkpoint = 2;
         let mut reg = MetricsRegistry::new();
-        let ran = JobRunner::run_with_checkpoint_metered(
-            &mut job,
-            &path,
-            Some(4),
-            Some(&mut reg),
-            |_, _| {},
-        )
-        .unwrap();
-        assert_eq!(ran, 4);
+        let options = RunOptions {
+            limit: Some(4),
+            checkpoint: Some(&path),
+            metrics: Some(&mut reg),
+            on_batch: None,
+        };
+        assert_eq!(JobRunner::run(&mut job, options).unwrap(), 4);
         let hb = Heartbeat::load(&path).expect("sidecar exists").unwrap();
         assert_eq!(hb.job_kind, JobKind::ShardedSweep);
         assert_eq!((hb.completed, hb.total, hb.batches), (4, 6, 2));
@@ -1188,7 +1216,11 @@ mod tests {
         assert!(reg.gauge("job.units_per_sec").is_some());
 
         // Finishing the run cleans the sidecar up.
-        JobRunner::run_with_checkpoint(&mut job, &path, None, |_, _| {}).unwrap();
+        let options = RunOptions {
+            checkpoint: Some(&path),
+            ..RunOptions::default()
+        };
+        JobRunner::run(&mut job, options).unwrap();
         assert!(JobRunner::is_complete(&job));
         assert!(Heartbeat::load(&path).is_none());
         std::fs::remove_file(&path).ok();

@@ -193,6 +193,10 @@ fn parse_literal(
     }
 }
 
+// Kept out of line: inlined into `parse_value`, the digit loop's speed
+// depended on where unrelated code happened to place that function (a
+// 17% swing in checkpoint load time between otherwise equal builds).
+#[inline(never)]
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {

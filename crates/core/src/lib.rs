@@ -155,7 +155,7 @@ pub mod prelude {
         second_pass_distances_naive, second_pass_distances_with_scratch, total_reuse_distance,
         AnalysisScratch,
     };
-    pub use crate::job::{Heartbeat, Job, JobKind, JobRunner, JobStatus};
+    pub use crate::job::{Heartbeat, Job, JobKind, JobRunner, JobStatus, RunOptions};
     pub use crate::labeling::{
         DataMovementLabeling, EdgeLabeling, GeneratorTieBreakLabeling, InversionLabeling, Label,
         MissRatioLabeling, RankedMissRatioLabeling, TimescaleLabeling,

@@ -18,13 +18,15 @@
 //!
 //! ```
 //! use symloc_core::engine::SweepSpec;
+//! use symloc_core::job::{JobRunner, RunOptions};
 //! use symloc_core::shard::ShardedSweep;
 //!
 //! let mut sweep = ShardedSweep::new(SweepSpec::figure1(6), 4, 2);
-//! sweep.run_pending(Some(2));               // ... process dies here ...
+//! let two = RunOptions { limit: Some(2), ..RunOptions::default() };
+//! JobRunner::run(&mut sweep, two).unwrap(); // ... process dies here ...
 //! let json = sweep.to_json();               // (checkpoint on disk)
 //! let mut resumed = ShardedSweep::from_json(&json, 2).unwrap();
-//! resumed.run_pending(None);
+//! JobRunner::run(&mut resumed, RunOptions::default()).unwrap();
 //! let levels = resumed.merged_levels().expect("complete");
 //! assert_eq!(levels.iter().map(|l| l.count).sum::<u64>(), 720);
 //! ```
@@ -119,65 +121,6 @@ impl ShardedSweep {
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.partials.iter().all(Option::is_some)
-    }
-
-    /// Runs up to `limit` pending shards (all of them when `None`),
-    /// returning how many were processed. Stopping early — or being killed
-    /// between shards — loses at most the shard in flight.
-    pub fn run_pending(&mut self, limit: Option<usize>) -> usize {
-        JobRunner::run_pending(self, limit)
-    }
-
-    /// [`Self::run_pending`] with optional instrumentation — identical
-    /// execution and results; the registry only observes.
-    pub fn run_pending_metered(
-        &mut self,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
-        JobRunner::run_pending_metered(self, limit, metrics)
-    }
-
-    /// Runs pending shards — all of them, or up to `limit` — saving the
-    /// checkpoint to `path` after *each* shard completes, so a kill
-    /// mid-invocation loses at most the shard in flight (and a kill
-    /// mid-save leaves the previous checkpoint intact: saves are atomic).
-    /// `on_shard(completed, total)` fires after every saved shard, for
-    /// progress reporting. Returns how many shards were processed; the
-    /// checkpoint is (re)written even when nothing was pending, so a
-    /// fresh plan always lands on disk.
-    ///
-    /// The whole loop is [`JobRunner::run_with_checkpoint`] — the single
-    /// checkpointed-execution path every caller (CLI, experiment driver)
-    /// goes through.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint(
-        &mut self,
-        path: &Path,
-        limit: Option<usize>,
-        on_shard: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint(self, path, limit, on_shard)
-    }
-
-    /// [`ShardedSweep::run_with_checkpoint`] with the runner's metrics
-    /// registry attached — identical execution, checkpoint bytes and
-    /// results; the registry only observes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint_metered(
-        &mut self,
-        path: &Path,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-        on_shard: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint_metered(self, path, limit, metrics, on_shard)
     }
 
     /// The merged per-level aggregates, or `None` while shards are
@@ -550,57 +493,6 @@ impl SampledSweep {
         self.partials.iter().all(Option::is_some)
     }
 
-    /// Runs up to `limit` pending levels (all of them when `None`) in
-    /// one parallel pass, returning how many were processed.
-    pub fn run_pending(&mut self, limit: Option<usize>) -> usize {
-        JobRunner::run_pending(self, limit)
-    }
-
-    /// [`Self::run_pending`] with optional instrumentation — identical
-    /// execution and results; the registry only observes.
-    pub fn run_pending_metered(
-        &mut self,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
-        JobRunner::run_pending_metered(self, limit, metrics)
-    }
-
-    /// Runs pending levels — all of them, or up to `limit` — saving the
-    /// checkpoint to `path` after each batch of (at most) the configured
-    /// thread count, so a kill loses at most one batch. `on_batch`
-    /// receives `(completed, total)` after every save. The checkpoint is
-    /// (re)written even when nothing was pending.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint(
-        &mut self,
-        path: &Path,
-        limit: Option<usize>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint(self, path, limit, on_batch)
-    }
-
-    /// [`SampledSweep::run_with_checkpoint`] with the runner's metrics
-    /// registry attached — identical execution, checkpoint bytes and
-    /// results; the registry only observes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint_metered(
-        &mut self,
-        path: &Path,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint_metered(self, path, limit, metrics, on_batch)
-    }
-
     /// The sampled per-level aggregates, or `None` while levels are
     /// pending. Identical to
     /// [`SweepEngine::sampled_levels_weighted`] with the same parameters.
@@ -866,10 +758,38 @@ fn parse_u64_array(value: Option<&JsonValue>, expected_len: usize) -> Option<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::RunOptions;
     use symloc_cache::setassoc::ReplacementPolicy;
 
     fn figure1_sweep(m: usize, shards: usize) -> ShardedSweep {
         ShardedSweep::new(SweepSpec::figure1(m), shards, 2)
+    }
+
+    /// Runs up to `limit` pending units with no checkpoint.
+    fn run(job: &mut impl Job, limit: Option<usize>) -> usize {
+        let options = RunOptions {
+            limit,
+            ..RunOptions::default()
+        };
+        JobRunner::run(job, options).unwrap()
+    }
+
+    /// Runs up to `limit` pending units checkpointing to `path`, appending
+    /// every batch's `(completed, total)` to `progress`.
+    fn run_checkpointed(
+        job: &mut impl Job,
+        path: &Path,
+        limit: Option<usize>,
+        progress: &mut Vec<(usize, usize)>,
+    ) -> usize {
+        let mut record = |done, total| progress.push((done, total));
+        let options = RunOptions {
+            limit,
+            checkpoint: Some(path),
+            metrics: None,
+            on_batch: Some(&mut record),
+        };
+        JobRunner::run(job, options).unwrap()
     }
 
     #[test]
@@ -890,12 +810,12 @@ mod tests {
     fn interrupted_sweep_resumes_to_identical_aggregates() {
         // The uninterrupted reference.
         let mut reference = figure1_sweep(6, 5);
-        assert_eq!(reference.run_pending(None), 5);
+        assert_eq!(run(&mut reference, None), 5);
         let expected = reference.merged_levels().unwrap();
 
         // Run two shards, "die", serialize, resume from JSON, finish.
         let mut interrupted = figure1_sweep(6, 5);
-        assert_eq!(interrupted.run_pending(Some(2)), 2);
+        assert_eq!(run(&mut interrupted, Some(2)), 2);
         assert_eq!(interrupted.completed_count(), 2);
         assert!(!interrupted.is_complete());
         assert!(interrupted.merged_levels().is_none());
@@ -904,13 +824,13 @@ mod tests {
 
         let mut resumed = ShardedSweep::from_json(&checkpoint, 3).unwrap();
         assert_eq!(resumed.completed_count(), 2);
-        assert_eq!(resumed.run_pending(None), 3);
+        assert_eq!(run(&mut resumed, None), 3);
         let via_resume = resumed.merged_levels().unwrap();
         assert_eq!(via_resume, expected, "resume must be exact");
 
         // And byte-identical once re-serialized from the same state.
         let mut direct = figure1_sweep(6, 5);
-        direct.run_pending(None);
+        run(&mut direct, None);
         assert_eq!(resumed.to_json(), direct.to_json());
     }
 
@@ -925,7 +845,7 @@ mod tests {
             },
         };
         let mut sweep = ShardedSweep::new(spec, 3, 2);
-        sweep.run_pending(Some(1));
+        run(&mut sweep, Some(1));
         let rebuilt = ShardedSweep::from_json(&sweep.to_json(), 2).unwrap();
         assert_eq!(rebuilt.spec(), spec);
         assert_eq!(rebuilt.completed_count(), 1);
@@ -942,7 +862,7 @@ mod tests {
         // Nothing on disk: fresh plan.
         let (mut sweep, resumed) = ShardedSweep::resume_or_new(spec, 4, 2, &path).unwrap();
         assert!(!resumed);
-        sweep.run_pending(Some(2));
+        run(&mut sweep, Some(2));
         sweep.save(&path).unwrap();
 
         // On disk with progress: resumed.
@@ -960,18 +880,14 @@ mod tests {
         assert!(!resumed);
         assert_eq!(fresh.completed_count(), 0);
 
-        // run_with_checkpoint drives the rest, reporting progress after
+        // A checkpointed run drives the rest, reporting progress after
         // every saved shard, and leaves a complete file.
         let (mut finishing, _) = ShardedSweep::resume_or_new(spec, 4, 2, &path).unwrap();
         let mut progress = Vec::new();
-        let limited = finishing
-            .run_with_checkpoint(&path, Some(1), |done, total| progress.push((done, total)))
-            .unwrap();
+        let limited = run_checkpointed(&mut finishing, &path, Some(1), &mut progress);
         assert_eq!(limited, 1);
         assert_eq!(progress, vec![(3, 4)]);
-        let ran = finishing
-            .run_with_checkpoint(&path, None, |done, total| progress.push((done, total)))
-            .unwrap();
+        let ran = run_checkpointed(&mut finishing, &path, None, &mut progress);
         assert_eq!(ran, 1);
         assert_eq!(progress, vec![(3, 4), (4, 4)]);
         let levels = finishing.merged_levels().unwrap();
@@ -979,14 +895,14 @@ mod tests {
         let (mut done, _) = ShardedSweep::resume_or_new(spec, 4, 2, &path).unwrap();
         assert!(done.is_complete());
         // Nothing pending: still rewrites the checkpoint, runs nothing.
-        assert_eq!(done.run_with_checkpoint(&path, None, |_, _| {}).unwrap(), 0);
+        assert_eq!(run_checkpointed(&mut done, &path, None, &mut Vec::new()), 0);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn from_json_rejects_corrupted_documents() {
         let mut sweep = figure1_sweep(4, 2);
-        sweep.run_pending(Some(1));
+        run(&mut sweep, Some(1));
         let good = sweep.to_json();
         assert!(ShardedSweep::from_json("{}", 1).is_err());
         assert!(ShardedSweep::from_json("not json", 1).is_err());
@@ -1014,7 +930,7 @@ mod tests {
             std::process::id()
         ));
         let mut sampled = SampledSweep::new(SweepSpec::figure1(5), 50, 2, 1, 1);
-        sampled.run_pending(Some(2));
+        run(&mut sampled, Some(2));
         sampled.save(&path).unwrap();
         let err = ShardedSweep::resume_or_new(SweepSpec::figure1(5), 4, 1, &path).unwrap_err();
         assert!(err.contains(SAMPLED_CHECKPOINT_KIND), "{err}");
@@ -1039,7 +955,7 @@ mod tests {
             };
             let mut sweep = SampledSweep::new(spec, 150, 2, 33, 2);
             assert_eq!(sweep.level_count(), statistic.level_count(6));
-            sweep.run_pending(None);
+            run(&mut sweep, None);
             let direct = SweepEngine::with_threads(6, 2).sampled_levels_weighted(
                 statistic,
                 CacheModel::LruStack,
@@ -1059,11 +975,11 @@ mod tests {
             model: CacheModel::LruStack,
         };
         let mut reference = SampledSweep::new(spec, 400, 2, 7, 2);
-        reference.run_pending(None);
+        run(&mut reference, None);
         let reference_json = reference.to_json();
 
         let mut interrupted = SampledSweep::new(spec, 400, 2, 7, 2);
-        assert_eq!(interrupted.run_pending(Some(10)), 10);
+        assert_eq!(run(&mut interrupted, Some(10)), 10);
         assert!(!interrupted.is_complete());
         assert!(interrupted.merged_levels().is_none());
         let checkpoint = interrupted.to_json();
@@ -1071,7 +987,7 @@ mod tests {
 
         let mut resumed = SampledSweep::from_json(&checkpoint, 3).unwrap();
         assert_eq!(resumed.completed_count(), 10);
-        resumed.run_pending(None);
+        run(&mut resumed, None);
         assert_eq!(resumed.to_json(), reference_json, "resume must be exact");
     }
 
@@ -1092,9 +1008,7 @@ mod tests {
         assert_eq!(sweep.min_per_level(), 2);
         assert_eq!(sweep.seed(), 5);
         let mut progress = Vec::new();
-        sweep
-            .run_with_checkpoint(&path, Some(4), |done, total| progress.push((done, total)))
-            .unwrap();
+        run_checkpointed(&mut sweep, &path, Some(4), &mut progress);
         assert_eq!(progress.last(), Some(&(4, 22)));
         assert!(!sweep.is_complete());
 
@@ -1102,9 +1016,7 @@ mod tests {
             SampledSweep::resume_or_new(spec, 200, 2, 5, 2, &path).unwrap();
         assert!(resumed);
         assert_eq!(resumed_sweep.completed_count(), 4);
-        resumed_sweep
-            .run_with_checkpoint(&path, None, |_, _| {})
-            .unwrap();
+        run_checkpointed(&mut resumed_sweep, &path, None, &mut Vec::new());
         assert!(resumed_sweep.is_complete());
 
         // A different seed or budget ignores the stale checkpoint.
@@ -1113,7 +1025,7 @@ mod tests {
         assert_eq!(fresh.completed_count(), 0);
         let (mut done, _) = SampledSweep::resume_or_new(spec, 200, 2, 5, 2, &path).unwrap();
         assert!(done.is_complete());
-        assert_eq!(done.run_with_checkpoint(&path, None, |_, _| {}).unwrap(), 0);
+        assert_eq!(run_checkpointed(&mut done, &path, None, &mut Vec::new()), 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1125,7 +1037,7 @@ mod tests {
             model: CacheModel::LruStack,
         };
         let mut sweep = SampledSweep::new(spec, 100, 2, 3, 1);
-        sweep.run_pending(Some(3));
+        run(&mut sweep, Some(3));
         let good = sweep.to_json();
         assert!(SampledSweep::from_json(&good, 1).is_ok());
         assert!(SampledSweep::from_json("{}", 1).is_err());

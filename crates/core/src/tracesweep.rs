@@ -34,20 +34,20 @@
 //!   last-access order); partials merge left-to-right into exactly the
 //!   sequential result. This is the PARDA decomposition of the stack
 //!   distance problem, driven by [`symloc_par::parallel_reduce_chunked`].
-//! * [`TraceIngest`] — the resumable runner: chunk partials are absorbed in
-//!   order and the merge state (histogram + compressed timeline) checkpoints
-//!   as hand-rolled JSON after every batch, so a killed ingest resumes to a
-//!   byte-identical final checkpoint (same guarantee, and same test
-//!   strategy, as `crate::shard::ShardedSweep`).
-//! * [`FusedIngest`] — the fused single-pass pipeline: **one** streaming
-//!   pass per chunk drives a broadcast tap feeding the exact chunk folder,
-//!   the per-shard routing buffers of every hash-sharded
-//!   [`ShardsEstimator`], and any extra
-//!   [`AccessSink`]. Absorbing the fused
-//!   partials in chunk order advances the exact merge *and* replays each
-//!   shard's slice through its live estimator, so one pass produces an
-//!   exact histogram byte-identical to [`TraceIngest`] and sampled results
-//!   bit-identical to [`SampledIngest`] at the same shard count.
+//! * [`TraceIngest`] — the one resumable chunked trace job: chunk
+//!   partials are absorbed in order and the merge state (histogram +
+//!   compressed timeline) checkpoints as hand-rolled JSON after every
+//!   batch, so a killed ingest resumes to a byte-identical final
+//!   checkpoint (same guarantee, and same test strategy, as
+//!   `crate::shard::ShardedSweep`). Planned with a [`SampledPlan`] it is
+//!   the fused single-pass pipeline: **one** streaming pass per chunk
+//!   drives a broadcast tap feeding the exact chunk folder, the per-shard
+//!   routing buffers of every hash-sharded [`ShardsEstimator`], and any
+//!   extra [`AccessSink`]; absorbing the partials in chunk order advances
+//!   the exact merge *and* replays each shard's slice through its live
+//!   estimator, so one pass produces an exact histogram byte-identical to
+//!   the exact-only job and sampled results bit-identical to
+//!   [`SampledIngest`] at the same shard count.
 //!
 //! ```
 //! use symloc_core::tracesweep::OnlineReuseEngine;
@@ -60,7 +60,7 @@
 //! assert_eq!(engine.histogram().count_at(3), 3);
 //! ```
 
-use crate::job::{self, Job, JobKind, JobRunner};
+use crate::job::{self, Job, JobKind, JobRunner, RunOptions};
 use crate::jsonio::{self, JsonValue};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt::Write as _;
@@ -68,10 +68,6 @@ use std::path::Path;
 use symloc_par::split_indices;
 use symloc_perm::fenwick::Fenwick;
 use symloc_trace::stream::{AccessSink, BlockRead, CountingSink, TraceSource};
-
-/// Format tag embedded in every ingest checkpoint document.
-#[cfg(test)]
-const CHECKPOINT_KIND: &str = JobKind::TraceIngest.kind_str();
 
 /// Smallest Fenwick capacity a timeline starts with (kept low so the
 /// compaction path is exercised constantly, not only at scale).
@@ -1124,18 +1120,14 @@ impl ShardsEstimator {
     ///
     /// Panics on the same parameter violations as
     /// [`ShardsEstimator::for_shard`].
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn restore_for_shard(
         s_max: usize,
-        threshold: u64,
         shard_index: u64,
         shard_count: u64,
-        raw_accesses: u64,
-        sampled_accesses: u64,
-        evictions: u64,
-        histogram: WeightedHistogram,
+        shard: SampledShardResult,
         tracked: &[u64],
     ) -> Result<Self, String> {
+        let threshold = shard.threshold;
         let mut est = Self::for_shard(s_max, threshold, shard_index, shard_count);
         if tracked.len() > s_max {
             return Err(format!(
@@ -1160,10 +1152,10 @@ impl ShardsEstimator {
             }
             est.by_hash.push((hash, addr));
         }
-        est.histogram = histogram;
-        est.raw_accesses = raw_accesses;
-        est.sampled_accesses = sampled_accesses;
-        est.evictions = evictions;
+        est.histogram = shard.histogram;
+        est.raw_accesses = shard.raw_accesses;
+        est.sampled_accesses = shard.sampled_accesses;
+        est.evictions = shard.evictions;
         Ok(est)
     }
 
@@ -1375,6 +1367,133 @@ impl SampledShardResult {
     }
 }
 
+/// How a checkpointed shard entry records its tracked set: a finished
+/// shard of a [`SampledIngest`] stores only the count, a live shard of a
+/// fused [`TraceIngest`] the addresses themselves in last-access order
+/// (they are its estimator's resume state).
+enum Tracked<'a> {
+    Count(usize),
+    Addresses(&'a [u64]),
+}
+
+/// Writes the body of one shard entry of a checkpoint — everything after
+/// the caller's opening `{` and any caller-specific leading fields,
+/// through the closing `}`. The kinds order the fields differently; every
+/// layout is frozen, since checkpoints must stay byte-identical.
+fn write_shard_entry(
+    out: &mut String,
+    threshold: u64,
+    raw_accesses: u64,
+    sampled_accesses: u64,
+    evictions: u64,
+    histogram: &WeightedHistogram,
+    tracked: Tracked<'_>,
+) {
+    let _ = write!(
+        out,
+        "\"threshold\": {threshold}, \"raw\": {raw_accesses}, \"sampled\": {sampled_accesses}, \"evictions\": {evictions}, "
+    );
+    if let Tracked::Count(count) = tracked {
+        let _ = write!(out, "\"tracked\": {count}, ");
+    }
+    let _ = write!(
+        out,
+        "\"cold\": {}, \"histogram\": [",
+        histogram.cold_weight()
+    );
+    for (j, (d, w)) in histogram.iter().enumerate() {
+        let comma = if j == 0 { "" } else { ", " };
+        let _ = write!(out, "{comma}[{d}, {w}]");
+    }
+    out.push(']');
+    if let Tracked::Addresses(addresses) = tracked {
+        out.push_str(", \"tracked\": [");
+        for (j, addr) in addresses.iter().enumerate() {
+            let comma = if j == 0 { "" } else { ", " };
+            let _ = write!(out, "{comma}{addr}");
+        }
+        out.push(']');
+    }
+    out.push('}');
+}
+
+/// [`write_shard_entry`] for a live estimator, whose tracked addresses are
+/// its resume state.
+pub(crate) fn write_estimator_entry(out: &mut String, est: &ShardsEstimator) {
+    write_shard_entry(
+        out,
+        est.threshold(),
+        est.raw_accesses(),
+        est.sampled_accesses(),
+        est.evictions(),
+        est.histogram(),
+        Tracked::Addresses(&est.tracked_in_order()),
+    );
+}
+
+/// Parses the fields every checkpointed estimator entry shares — a
+/// threshold in `1..=max_threshold`, the counters and the weighted
+/// histogram — into a [`SampledShardResult`] tracking `tracked` addresses.
+/// The `"tracked"` field itself differs by kind (see [`Tracked`]) and is
+/// the caller's; `what` names the entry in errors (`shard`, `tenant`).
+pub(crate) fn parse_shard_entry(
+    entry: &JsonValue,
+    what: &str,
+    max_threshold: u64,
+    tracked: usize,
+) -> Result<SampledShardResult, String> {
+    let field = |key: &str| {
+        entry
+            .get(key)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("{what} missing {key}"))
+    };
+    let threshold = field("threshold")?;
+    if threshold == 0 || threshold > max_threshold {
+        return Err(format!(
+            "{what} threshold {threshold} outside 1..={max_threshold}"
+        ));
+    }
+    let cold = entry
+        .get("cold")
+        .and_then(JsonValue::as_f64)
+        .ok_or_else(|| format!("{what} missing cold"))?;
+    if !cold.is_finite() || cold < 0.0 {
+        return Err(format!("{what} cold weight {cold} is not a finite count"));
+    }
+    let mut histogram = WeightedHistogram::default();
+    histogram.record_cold(cold);
+    let bins = entry
+        .get("histogram")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("{what} missing histogram"))?;
+    for bin in bins {
+        let pair = bin.as_array().ok_or("histogram entry is not a pair")?;
+        let (d, w) = match pair {
+            [d, w] => (
+                d.as_usize().ok_or("bad histogram distance")?,
+                w.as_f64().ok_or("bad histogram weight")?,
+            ),
+            _ => return Err("histogram entry is not a pair".to_string()),
+        };
+        if d == 0 {
+            return Err("histogram distance 0 is not representable".to_string());
+        }
+        if !w.is_finite() || w < 0.0 {
+            return Err(format!("histogram weight {w} is not a finite count"));
+        }
+        histogram.record_finite(d, w);
+    }
+    Ok(SampledShardResult {
+        histogram,
+        threshold,
+        raw_accesses: field("raw")?,
+        sampled_accesses: field("sampled")?,
+        evictions: field("evictions")?,
+        tracked,
+    })
+}
+
 /// The merged outcome of a completed [`SampledIngest`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledSummary {
@@ -1398,6 +1517,29 @@ impl SampledSummary {
     #[must_use]
     pub fn estimated_footprint(&self) -> f64 {
         self.histogram.cold_weight()
+    }
+
+    /// Merges the results of all `shard_count` hash shards in shard order,
+    /// so the float sums — and therefore the summaries of every pipeline
+    /// that samples the same shards — are bit-identical.
+    #[allow(clippy::cast_precision_loss)]
+    fn of(shards: &[SampledShardResult], shard_count: usize) -> SampledSummary {
+        let mut summary = SampledSummary {
+            histogram: WeightedHistogram::default(),
+            raw_accesses: 0,
+            sampled_accesses: 0,
+            evictions: 0,
+            min_rate: f64::INFINITY,
+        };
+        for shard in shards {
+            summary.histogram.merge(&shard.histogram);
+            summary.raw_accesses += shard.raw_accesses;
+            summary.sampled_accesses += shard.sampled_accesses;
+            summary.evictions += shard.evictions;
+            let rate = shard.threshold as f64 / SHARDS_MODULUS as f64 / shard_count as f64;
+            summary.min_rate = summary.min_rate.min(rate);
+        }
+        summary
     }
 }
 
@@ -1430,6 +1572,11 @@ impl SampledSummary {
 ///   serialize (weights as shortest-round-trip decimals, so re-serializing
 ///   parsed state is byte-identical) and a resumed ingest recomputes only
 ///   the shards that were in flight.
+///
+/// A fused [`TraceIngest`] produces the same shard results from its single
+/// chunked pass; this job remains the reference it is checked against, and
+/// runs sampled-only traces with its shards in parallel where the chunked
+/// job replays them serially.
 #[derive(Debug, Clone)]
 pub struct SampledIngest {
     fingerprint: String,
@@ -1488,9 +1635,7 @@ impl SampledIngest {
         threshold: u64,
         threads: usize,
     ) -> Result<Self, String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
+        let total = scan_total(source)?;
         Ok(Self::with_total(
             source,
             total,
@@ -1565,33 +1710,13 @@ impl SampledIngest {
         self.partials.len() >= self.shard_count
     }
 
-    /// Binds the ingest to its (fingerprint-checked) source so the generic
-    /// [`JobRunner`] can drive it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source does not match the ingest's fingerprint.
-    fn bind<'a>(&'a mut self, source: &'a TraceSource) -> SampledIngestJob<'a> {
-        assert_eq!(
-            source.fingerprint(),
-            self.fingerprint,
-            "sampled ingest resumed against a different trace source"
-        );
-        SampledIngestJob {
-            ingest: self,
-            source,
-        }
-    }
-
     /// Runs up to `limit` pending shards (all of them when `None`) in one
     /// parallel pass: the pending shards are split contiguously across the
     /// configured workers, and each worker streams the source **once**,
     /// feeding only the shards it owns. The per-access hash is therefore
     /// computed once per worker pass — at most `threads` passes total, one
     /// when sequential — while the expensive timeline work is split
-    /// `shard_count` ways. (`limit` bounds checkpoint granularity:
-    /// [`SampledIngest::run_with_checkpoint`] passes the thread count so a
-    /// kill loses at most one batch.)
+    /// `shard_count` ways.
     ///
     /// Returns how many shards were processed.
     ///
@@ -1600,66 +1725,37 @@ impl SampledIngest {
     /// Panics if the source no longer matches the ingest's fingerprint, or
     /// if it fails to stream (sources are validated on construction).
     pub fn run_pending(&mut self, source: &TraceSource, limit: Option<usize>) -> usize {
-        JobRunner::run_pending(&mut self.bind(source), limit)
+        let options = RunOptions {
+            limit,
+            ..RunOptions::default()
+        };
+        self.run(source, options)
+            .expect("a run without a checkpoint does no I/O")
     }
 
-    /// [`Self::run_pending`] with optional instrumentation — identical
-    /// execution and results; the registry only observes.
+    /// Runs pending shards through [`JobRunner::run`] with `options`
+    /// (limit, checkpoint, metrics, batch callback); with a checkpoint a
+    /// kill loses at most one batch of `threads` shards.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if a checkpoint cannot be written.
     ///
     /// # Panics
     ///
     /// Panics if the source no longer matches the ingest's fingerprint, or
     /// if it fails to stream (sources are validated on construction).
-    pub fn run_pending_metered(
-        &mut self,
-        source: &TraceSource,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
-        JobRunner::run_pending_metered(&mut self.bind(source), limit, metrics)
-    }
-
-    /// Runs pending shards — all, or up to `limit` — saving the checkpoint
-    /// after every completed batch, so a kill loses at most one batch.
-    /// `on_batch(completed, total)` fires after every save. The checkpoint
-    /// is (re)written even when nothing was pending. The loop is
-    /// [`JobRunner::run_with_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint(&mut self.bind(source), path, limit, on_batch)
-    }
-
-    /// [`SampledIngest::run_with_checkpoint`] with the runner's metrics
-    /// registry attached — identical execution, checkpoint bytes and
-    /// results; the registry only observes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint_metered(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint_metered(
-            &mut self.bind(source),
-            path,
-            limit,
-            metrics,
-            on_batch,
-        )
+    pub fn run(&mut self, source: &TraceSource, options: RunOptions<'_>) -> std::io::Result<usize> {
+        assert_eq!(
+            source.fingerprint(),
+            self.fingerprint,
+            "sampled ingest resumed against a different trace source"
+        );
+        let mut job = SampledIngestJob {
+            ingest: self,
+            source,
+        };
+        JobRunner::run(&mut job, options)
     }
 
     /// The completed shards so far (in shard order).
@@ -1671,28 +1767,8 @@ impl SampledIngest {
     /// The merged summary, or `None` while shards are pending.
     #[must_use]
     pub fn merged(&self) -> Option<SampledSummary> {
-        if !self.is_complete() {
-            return None;
-        }
-        let mut histogram = WeightedHistogram::default();
-        let (mut raw, mut sampled, mut evictions) = (0u64, 0u64, 0u64);
-        let mut min_rate = f64::INFINITY;
-        #[allow(clippy::cast_precision_loss)]
-        for shard in &self.partials {
-            histogram.merge(&shard.histogram);
-            raw += shard.raw_accesses;
-            sampled += shard.sampled_accesses;
-            evictions += shard.evictions;
-            let rate = shard.threshold as f64 / SHARDS_MODULUS as f64 / self.shard_count as f64;
-            min_rate = min_rate.min(rate);
-        }
-        Some(SampledSummary {
-            histogram,
-            raw_accesses: raw,
-            sampled_accesses: sampled,
-            evictions,
-            min_rate,
-        })
+        self.is_complete()
+            .then(|| SampledSummary::of(&self.partials, self.shard_count))
     }
 
     /// Serializes the ingest — plan, progress, completed shard results —
@@ -1710,22 +1786,21 @@ impl SampledIngest {
         let _ = writeln!(out, "  \"next_shard\": {},", self.partials.len());
         out.push_str("  \"shards\": [\n");
         for (i, shard) in self.partials.iter().enumerate() {
-            let sep = if i + 1 < self.partials.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "    {{\"threshold\": {}, \"raw\": {}, \"sampled\": {}, \"evictions\": {}, \"tracked\": {}, \"cold\": {}, \"histogram\": [",
+            out.push_str("    {");
+            write_shard_entry(
+                &mut out,
                 shard.threshold,
                 shard.raw_accesses,
                 shard.sampled_accesses,
                 shard.evictions,
-                shard.tracked,
-                shard.histogram.cold_weight(),
+                &shard.histogram,
+                Tracked::Count(shard.tracked),
             );
-            for (j, (d, w)) in shard.histogram.iter().enumerate() {
-                let comma = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{comma}[{d}, {w}]");
-            }
-            let _ = writeln!(out, "]}}{sep}");
+            out.push_str(if i + 1 < self.partials.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out
@@ -1738,45 +1813,16 @@ impl SampledIngest {
     /// Returns a description of the first structural problem.
     pub fn from_json(text: &str, threads: usize) -> Result<SampledIngest, String> {
         let doc = job::parse_checkpoint(text, JobKind::SampledIngest)?;
-        let fingerprint = doc
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing fingerprint")?
-            .to_string();
-        let total = doc
-            .get("total_accesses")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing total_accesses")?;
-        let shard_count = doc
-            .get("shard_count")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing shard_count")?;
-        if shard_count == 0 {
-            return Err("shard_count must be positive".to_string());
-        }
-        let budget_per_shard = doc
-            .get("budget_per_shard")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing budget_per_shard")?;
-        if budget_per_shard == 0 {
-            return Err("budget_per_shard must be positive".to_string());
-        }
-        let threshold = doc
-            .get("threshold")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing threshold")?;
-        if threshold == 0 || threshold > SHARDS_MODULUS {
-            return Err(format!(
-                "threshold {threshold} outside 1..={SHARDS_MODULUS}"
-            ));
-        }
+        let (fingerprint, total) = parse_trace_header(&doc)?;
+        let (plan, threshold) = parse_sampled_plan(&doc)?;
         let next_shard = doc
             .get("next_shard")
             .and_then(JsonValue::as_usize)
             .ok_or("missing next_shard")?;
-        if next_shard > shard_count {
+        if next_shard > plan.shard_count {
             return Err(format!(
-                "next_shard {next_shard} exceeds shard_count {shard_count}"
+                "next_shard {next_shard} exceeds shard_count {}",
+                plan.shard_count
             ));
         }
         let entries = doc
@@ -1789,91 +1835,25 @@ impl SampledIngest {
                 entries.len()
             ));
         }
-        let mut partials = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let shard_threshold = entry
-                .get("threshold")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing threshold")?;
-            if shard_threshold == 0 || shard_threshold > threshold {
-                return Err(format!(
-                    "shard threshold {shard_threshold} outside 1..={threshold}"
-                ));
-            }
-            let raw_accesses = entry
-                .get("raw")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing raw")?;
-            let sampled_accesses = entry
-                .get("sampled")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing sampled")?;
-            let evictions = entry
-                .get("evictions")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing evictions")?;
-            let tracked = entry
-                .get("tracked")
-                .and_then(JsonValue::as_usize)
-                .ok_or("shard missing tracked")?;
-            let cold = entry
-                .get("cold")
-                .and_then(JsonValue::as_f64)
-                .ok_or("shard missing cold")?;
-            if !cold.is_finite() || cold < 0.0 {
-                return Err(format!("shard cold weight {cold} is not a finite count"));
-            }
-            let mut histogram = WeightedHistogram::default();
-            histogram.record_cold(cold);
-            let bins = entry
-                .get("histogram")
-                .and_then(JsonValue::as_array)
-                .ok_or("shard missing histogram")?;
-            for bin in bins {
-                let pair = bin.as_array().ok_or("histogram entry is not a pair")?;
-                let (d, w) = match pair {
-                    [d, w] => (
-                        d.as_usize().ok_or("bad histogram distance")?,
-                        w.as_f64().ok_or("bad histogram weight")?,
-                    ),
-                    _ => return Err("histogram entry is not a pair".to_string()),
-                };
-                if d == 0 {
-                    return Err("histogram distance 0 is not representable".to_string());
-                }
-                if !w.is_finite() || w < 0.0 {
-                    return Err(format!("histogram weight {w} is not a finite count"));
-                }
-                histogram.record_finite(d, w);
-            }
-            partials.push(SampledShardResult {
-                histogram,
-                threshold: shard_threshold,
-                raw_accesses,
-                sampled_accesses,
-                evictions,
-                tracked,
-            });
-        }
+        let partials = entries
+            .iter()
+            .map(|entry| {
+                let tracked = entry
+                    .get("tracked")
+                    .and_then(JsonValue::as_usize)
+                    .ok_or("shard missing tracked")?;
+                parse_shard_entry(entry, "shard", threshold, tracked)
+            })
+            .collect::<Result<_, String>>()?;
         Ok(SampledIngest {
             fingerprint,
             total,
-            shard_count,
-            budget_per_shard,
+            shard_count: plan.shard_count,
+            budget_per_shard: plan.budget_per_shard,
             threshold,
             threads: threads.max(1),
             partials,
         })
-    }
-
-    /// Writes the checkpoint to `path` atomically (temp file + rename) —
-    /// the shared [`crate::jsonio::save_atomic`] path every job uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        jsonio::save_atomic(path, &self.to_json())
     }
 
     /// Loads a checkpoint from `path`, or plans a fresh sampled ingest when
@@ -1894,9 +1874,7 @@ impl SampledIngest {
         threads: usize,
         path: &Path,
     ) -> Result<(SampledIngest, bool), String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
+        let total = scan_total(source)?;
         job::resume_or_new_with(
             path,
             JobKind::SampledIngest,
@@ -2000,6 +1978,59 @@ impl Job for SampledIngestJob<'_> {
     fn to_json(&self) -> String {
         self.ingest.to_json()
     }
+}
+
+/// Scans `source` once for its access count, validating it on the way.
+fn scan_total(source: &TraceSource) -> Result<u64, String> {
+    source
+        .total_accesses()
+        .map_err(|e| format!("cannot scan {source}: {e}"))
+}
+
+/// The fields every trace checkpoint starts with: the source fingerprint
+/// and its access count.
+fn parse_trace_header(doc: &JsonValue) -> Result<(String, u64), String> {
+    let fingerprint = doc
+        .get("fingerprint")
+        .and_then(JsonValue::as_str)
+        .ok_or("missing fingerprint")?;
+    let total = doc
+        .get("total_accesses")
+        .and_then(JsonValue::as_u64)
+        .ok_or("missing total_accesses")?;
+    Ok((fingerprint.to_string(), total))
+}
+
+/// A checkpoint's sampled plan and initial threshold, each validated.
+fn parse_sampled_plan(doc: &JsonValue) -> Result<(SampledPlan, u64), String> {
+    let shard_count = doc
+        .get("shard_count")
+        .and_then(JsonValue::as_usize)
+        .ok_or("missing shard_count")?;
+    if shard_count == 0 {
+        return Err("shard_count must be positive".to_string());
+    }
+    let budget_per_shard = doc
+        .get("budget_per_shard")
+        .and_then(JsonValue::as_usize)
+        .ok_or("missing budget_per_shard")?;
+    if budget_per_shard == 0 {
+        return Err("budget_per_shard must be positive".to_string());
+    }
+    let threshold = doc
+        .get("threshold")
+        .and_then(JsonValue::as_u64)
+        .ok_or("missing threshold")?;
+    if threshold == 0 || threshold > SHARDS_MODULUS {
+        return Err(format!(
+            "threshold {threshold} outside 1..={SHARDS_MODULUS}"
+        ));
+    }
+    let plan = SampledPlan {
+        shard_count,
+        budget_per_shard,
+    };
+    Ok((plan, threshold))
 }
 
 // ---------------------------------------------------------------------------
@@ -2147,17 +2178,118 @@ impl MergeState {
 }
 
 // ---------------------------------------------------------------------------
-// The resumable sharded ingest
+// The resumable chunked trace ingest (exact, optionally fused with sampling)
 // ---------------------------------------------------------------------------
 
-/// A chunk-sharded, checkpointable ingest of one trace source.
+/// Format tag of an exact-only [`TraceIngest`] checkpoint document.
+#[cfg(test)]
+const CHECKPOINT_KIND: &str = JobKind::TraceIngest.kind_str();
+/// Format tag of a fused exact+sampled [`TraceIngest`] checkpoint document.
+#[cfg(test)]
+const FUSED_CHECKPOINT_KIND: &str = JobKind::FusedIngest.kind_str();
+
+/// The sampled half of a fused [`TraceIngest`]: the address-hash space
+/// splits into `shard_count` residue classes, each sampled by a
+/// [`ShardsEstimator`] tracking at most `budget_per_shard` addresses —
+/// the same estimator [`SampledIngest`] runs at the same shard count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampledPlan {
+    /// Number of hash shards.
+    pub shard_count: usize,
+    /// The per-shard tracked-address budget.
+    pub budget_per_shard: usize,
+}
+
+/// The mergeable partial result of one trace chunk of a [`TraceIngest`]:
+/// the exact [`ChunkPartial`] plus, when the ingest is fused, the chunk's
+/// accesses routed to their owning hash shards. Shard `i` holds the
+/// sub-sequence of the chunk with `splitmix64(addr) % SHARDS_MODULUS ≡ i
+/// (mod shard_count)`, in access order, so concatenating a shard's slices
+/// across chunks (which absorbing in chunk order does) reproduces exactly
+/// the access sequence [`SampledIngest`] feeds that shard's
+/// [`ShardsEstimator`]. `routed` is empty for an exact-only ingest.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FusedChunkPartial {
+    /// The exact mergeable partial of the chunk.
+    pub exact: ChunkPartial,
+    /// The chunk's accesses partitioned by owning hash shard (access order
+    /// preserved within each shard; every access lands in exactly one).
+    pub routed: Vec<Vec<u64>>,
+}
+
+/// Folds one contiguous chunk of block-streamed accesses into a
+/// [`FusedChunkPartial`], broadcasting every decoded block to the exact
+/// chunk folder, the per-shard routing buffers *and* `sink` — the single
+/// decode pass of the fused pipeline. `sink` is the extension seam for
+/// future per-access consumers (the serve daemon's live feed); pass a
+/// [`CountingSink`] to prove the pass touches each access exactly once.
+///
+/// # Panics
+///
+/// Panics if `shard_count == 0`, or on the block reader's deferred I/O
+/// errors (callers validate sources with `total_accesses` first).
+#[must_use]
+pub fn fused_chunk_partial(
+    blocks: &mut dyn BlockRead,
+    shard_count: usize,
+    sink: &mut dyn AccessSink,
+) -> FusedChunkPartial {
+    assert!(shard_count > 0, "at least one hash shard is required");
+    let mut folder = ChunkFolder::default();
+    let mut routed = vec![Vec::new(); shard_count];
+    let count = shard_count as u64;
+    let mut buf = Vec::new();
+    while blocks.next_block(&mut buf) > 0 {
+        sink.on_block(&buf);
+        for &addr in &buf {
+            folder.push(addr);
+            let shard = splitmix64(addr) % SHARDS_MODULUS % count;
+            routed[usize::try_from(shard).expect("shard index fits usize")].push(addr);
+        }
+    }
+    FusedChunkPartial {
+        exact: folder.finish(),
+        routed,
+    }
+}
+
+/// The sampled state of a fused [`TraceIngest`]: the plan, its initial
+/// threshold and one live estimator per hash shard.
+#[derive(Debug, Clone)]
+struct SampledHalf {
+    plan: SampledPlan,
+    threshold: u64,
+    estimators: Vec<ShardsEstimator>,
+}
+
+/// The chunk-sharded, checkpointable ingest of one trace source: exact
+/// always, and fused with the hash-sharded sampled estimate when planned
+/// with a [`SampledPlan`].
 ///
 /// The trace is split into `chunk_count` contiguous chunks; each pending
-/// batch of up to `threads` chunks is folded into [`ChunkPartial`]s in
-/// parallel ([`symloc_par::parallel_reduce_chunked`] — the partials are the
-/// monoid) and absorbed in order into the [`MergeState`]. After every batch
-/// the state serializes to a JSON checkpoint; a killed ingest resumes from
-/// it and finishes with a byte-identical final checkpoint.
+/// batch of up to `threads` chunks is folded into partials in parallel
+/// ([`symloc_par::parallel_reduce_chunked`] — the partials are the monoid)
+/// and absorbed in order into the [`MergeState`]. After every batch the
+/// state serializes to a JSON checkpoint; a killed ingest resumes from it
+/// and finishes with a byte-identical final checkpoint.
+///
+/// * **Exact only** (`sampled: None`): a worker folds its chunk with
+///   [`chunk_partial_blocks`] — no hashing, no routing, nothing to replay.
+///   Checkpoints carry the `symloc_trace_ingest_checkpoint` tag.
+/// * **Fused** (`sampled: Some(plan)`): **one** block-decode pass per
+///   chunk ([`fused_chunk_partial`]) feeds the exact folder and routes
+///   every access to its owning hash shard. Absorbing partials in chunk
+///   order advances the exact merge and replays each shard's slice through
+///   its **live** [`ShardsEstimator`] — the concatenated replays are
+///   exactly the call sequence [`SampledIngest`] makes, so the sampled
+///   results (thresholds, counters, weighted histograms, float for float)
+///   are bit-identical to that pipeline at the same shard count, and the
+///   exact side is byte-identical to an exact-only run. Checkpoints carry
+///   the `symloc_fused_trace_checkpoint` tag and every estimator's
+///   mid-stream state.
+///
+/// Both documents keep the layouts earlier releases wrote, so checkpoints
+/// resume across versions in either direction.
 #[derive(Debug, Clone)]
 pub struct TraceIngest {
     fingerprint: String,
@@ -2166,10 +2298,12 @@ pub struct TraceIngest {
     threads: usize,
     next_chunk: usize,
     state: MergeState,
+    sampled: Option<SampledHalf>,
 }
 
 impl TraceIngest {
-    /// Plans an ingest of `source` split into `chunk_count` chunks.
+    /// Plans an ingest of `source` split into `chunk_count` chunks, fused
+    /// with the hash-sharded sampled estimate when `sampled` is given.
     ///
     /// Scans the source once to learn (and validate) its length.
     ///
@@ -2179,17 +2313,50 @@ impl TraceIngest {
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_count == 0`.
-    pub fn new(source: &TraceSource, chunk_count: usize, threads: usize) -> Result<Self, String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
-        Ok(Self::with_total(source, total, chunk_count, threads))
+    /// Panics if `chunk_count == 0`, or if the sampled plan has no shards
+    /// or a zero budget.
+    pub fn new(
+        source: &TraceSource,
+        chunk_count: usize,
+        sampled: Option<SampledPlan>,
+        threads: usize,
+    ) -> Result<Self, String> {
+        let total = scan_total(source)?;
+        Ok(Self::with_total(
+            source,
+            total,
+            chunk_count,
+            sampled,
+            threads,
+        ))
     }
 
     /// Plans a fresh ingest for a source whose length is already known.
-    fn with_total(source: &TraceSource, total: u64, chunk_count: usize, threads: usize) -> Self {
+    fn with_total(
+        source: &TraceSource,
+        total: u64,
+        chunk_count: usize,
+        sampled: Option<SampledPlan>,
+        threads: usize,
+    ) -> Self {
         assert!(chunk_count > 0, "at least one chunk is required");
+        let sampled = sampled.map(|plan| {
+            assert!(plan.shard_count > 0, "at least one hash shard is required");
+            assert!(
+                plan.budget_per_shard > 0,
+                "the per-shard budget must be positive"
+            );
+            let count = plan.shard_count as u64;
+            SampledHalf {
+                plan,
+                threshold: SHARDS_MODULUS,
+                estimators: (0..count)
+                    .map(|i| {
+                        ShardsEstimator::for_shard(plan.budget_per_shard, SHARDS_MODULUS, i, count)
+                    })
+                    .collect(),
+            }
+        });
         TraceIngest {
             fingerprint: source.fingerprint(),
             total,
@@ -2197,6 +2364,7 @@ impl TraceIngest {
             threads: threads.max(1),
             next_chunk: 0,
             state: MergeState::new(),
+            sampled,
         }
     }
 
@@ -2204,6 +2372,14 @@ impl TraceIngest {
     /// (and one chunk for an empty trace), mirroring the shard planner.
     fn effective_chunk_count(requested: usize, total: u64) -> usize {
         requested.min(usize::try_from(total.max(1)).unwrap_or(usize::MAX))
+    }
+
+    /// The checkpoint kind: exact-only or fused.
+    fn kind(&self) -> JobKind {
+        match self.sampled {
+            None => JobKind::TraceIngest,
+            Some(_) => JobKind::FusedIngest,
+        }
     }
 
     /// The source fingerprint the ingest belongs to.
@@ -2222,6 +2398,12 @@ impl TraceIngest {
     #[must_use]
     pub fn chunk_count(&self) -> usize {
         self.chunk_count
+    }
+
+    /// The sampled plan of a fused ingest, `None` for an exact-only one.
+    #[must_use]
+    pub fn sampled_plan(&self) -> Option<SampledPlan> {
+        self.sampled.as_ref().map(|half| half.plan)
     }
 
     /// Number of chunks already absorbed.
@@ -2247,25 +2429,17 @@ impl TraceIngest {
         .collect()
     }
 
-    /// Binds the ingest to its (fingerprint-checked) source so the generic
-    /// [`JobRunner`] can drive it. The chunk plan is materialized once per
-    /// binding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source does not match the ingest's fingerprint.
-    fn bind<'a>(&'a mut self, source: &'a TraceSource) -> TraceIngestJob<'a> {
-        assert_eq!(
-            source.fingerprint(),
-            self.fingerprint,
-            "ingest resumed against a different trace source"
-        );
-        let bounds = self.chunk_bounds();
-        TraceIngestJob {
-            ingest: self,
-            source,
-            bounds,
-        }
+    /// Accesses streamed so far: absorbed chunks are a contiguous prefix
+    /// of the access range, so this is the end of the last absorbed
+    /// chunk's bounds. Each access is decoded exactly once, so a complete
+    /// run reports exactly the trace length — where running the exact and
+    /// the sampled pipelines separately would stream every access at least
+    /// twice.
+    #[must_use]
+    pub fn streamed_accesses(&self) -> u64 {
+        self.next_chunk
+            .checked_sub(1)
+            .map_or(0, |last| self.chunk_bounds()[last].1)
     }
 
     /// Runs up to `limit` pending chunks (all of them when `None`) in
@@ -2277,97 +2451,108 @@ impl TraceIngest {
     /// Panics if the source no longer matches the ingest's fingerprint, or
     /// if it fails to stream (sources are validated by [`TraceIngest::new`]).
     pub fn run_pending(&mut self, source: &TraceSource, limit: Option<usize>) -> usize {
-        JobRunner::run_pending(&mut self.bind(source), limit)
+        let options = RunOptions {
+            limit,
+            ..RunOptions::default()
+        };
+        self.run(source, options)
+            .expect("a run without a checkpoint does no I/O")
     }
 
-    /// [`Self::run_pending`] with optional instrumentation — identical
-    /// execution and results; the registry only observes.
+    /// Runs pending chunks through [`JobRunner::run`] with `options`
+    /// (limit, checkpoint, metrics, batch callback); with a checkpoint a
+    /// kill loses at most one batch of `threads` chunks.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if a checkpoint cannot be written.
     ///
     /// # Panics
     ///
     /// Panics if the source no longer matches the ingest's fingerprint, or
     /// if it fails to stream (sources are validated on construction).
-    pub fn run_pending_metered(
-        &mut self,
-        source: &TraceSource,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
-        JobRunner::run_pending_metered(&mut self.bind(source), limit, metrics)
+    pub fn run(&mut self, source: &TraceSource, options: RunOptions<'_>) -> std::io::Result<usize> {
+        assert_eq!(
+            source.fingerprint(),
+            self.fingerprint,
+            "ingest resumed against a different trace source"
+        );
+        let bounds = self.chunk_bounds();
+        let mut job = ChunkedTraceJob {
+            ingest: self,
+            source,
+            bounds,
+        };
+        JobRunner::run(&mut job, options)
     }
 
-    /// Runs pending chunks — all, or up to `limit` — saving the checkpoint
-    /// after every absorbed batch, so a kill loses at most one batch.
-    /// `on_batch(completed, total)` fires after every save. The checkpoint
-    /// is (re)written even when nothing was pending. The loop is
-    /// [`JobRunner::run_with_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint(&mut self.bind(source), path, limit, on_batch)
-    }
-
-    /// [`TraceIngest::run_with_checkpoint`] with the runner's metrics
-    /// registry attached — identical execution, checkpoint bytes and
-    /// results; the registry only observes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint_metered(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint_metered(
-            &mut self.bind(source),
-            path,
-            limit,
-            metrics,
-            on_batch,
-        )
-    }
-
-    /// The merged histogram, or `None` while chunks are pending.
+    /// The exact histogram, or `None` while chunks are pending.
     #[must_use]
     pub fn histogram(&self) -> Option<&StreamHistogram> {
         self.is_complete().then(|| self.state.histogram())
     }
 
-    /// The partial histogram absorbed so far (complete or not).
+    /// The partial exact histogram absorbed so far (complete or not).
     #[must_use]
     pub fn partial_histogram(&self) -> &StreamHistogram {
         self.state.histogram()
     }
 
-    /// Distinct addresses absorbed so far.
+    /// Distinct addresses absorbed so far (exact side).
     #[must_use]
     pub fn footprint(&self) -> usize {
         self.state.footprint()
     }
 
-    /// Serializes the ingest — plan, progress, merge state — as a JSON
-    /// checkpoint document. The state is canonical (the timeline is stored
-    /// as its ordered address list), so two ingests in the same logical
+    /// The per-shard sampled results as they stand now (mid-stream while
+    /// chunks are pending; final when complete — then bit-identical to
+    /// [`SampledIngest::shard_results`] at the same shard count). Empty
+    /// for an exact-only ingest.
+    #[must_use]
+    pub fn sampled_shard_results(&self) -> Vec<SampledShardResult> {
+        self.sampled.as_ref().map_or_else(Vec::new, |half| {
+            half.estimators
+                .iter()
+                .map(SampledShardResult::from_estimator)
+                .collect()
+        })
+    }
+
+    /// The merged sampled summary — bit-identical to
+    /// [`SampledIngest::merged`] at the same shard count — or `None` while
+    /// chunks are pending or when the ingest is exact-only.
+    #[must_use]
+    pub fn sampled_summary(&self) -> Option<SampledSummary> {
+        let plan = self.sampled_plan()?;
+        self.is_complete()
+            .then(|| SampledSummary::of(&self.sampled_shard_results(), plan.shard_count))
+    }
+
+    /// Serializes the ingest — plan, progress, exact merge state and, when
+    /// fused, every estimator's mid-stream state — as a JSON checkpoint
+    /// document under the tag of its kind. Both sides serialize
+    /// canonically (timelines as ordered address lists, weights as
+    /// shortest round-trip decimals), so two ingests in the same logical
     /// state serialize byte-identically however they got there.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        job::write_checkpoint_header(&mut out, JobKind::TraceIngest, &self.fingerprint);
+        job::write_checkpoint_header(&mut out, self.kind(), &self.fingerprint);
         let _ = writeln!(out, "  \"total_accesses\": {},", self.total);
         let _ = writeln!(out, "  \"chunk_count\": {},", self.chunk_count);
+        if let Some(half) = &self.sampled {
+            let _ = writeln!(out, "  \"shard_count\": {},", half.plan.shard_count);
+            let _ = writeln!(
+                out,
+                "  \"budget_per_shard\": {},",
+                half.plan.budget_per_shard
+            );
+            let _ = writeln!(out, "  \"threshold\": {},", half.threshold);
+        }
         let _ = writeln!(out, "  \"next_chunk\": {},", self.next_chunk);
+        if self.sampled.is_some() {
+            let _ = writeln!(out, "  \"streamed\": {},", self.streamed_accesses());
+        }
         let _ = writeln!(out, "  \"cold\": {},", self.state.histogram.cold_count());
         out.push_str("  \"histogram\": [");
         for (i, (d, c)) in self.state.histogram.iter().enumerate() {
@@ -2380,26 +2565,38 @@ impl TraceIngest {
             let sep = if i == 0 { "" } else { ", " };
             let _ = write!(out, "{sep}{addr}");
         }
-        out.push_str("]\n}\n");
+        let Some(half) = &self.sampled else {
+            out.push_str("]\n}\n");
+            return out;
+        };
+        out.push_str("],\n");
+        out.push_str("  \"shards\": [\n");
+        for (i, est) in half.estimators.iter().enumerate() {
+            out.push_str("    {");
+            write_estimator_entry(&mut out, est);
+            out.push_str(if i + 1 < half.estimators.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
+        }
+        out.push_str("  ]\n}\n");
         out
     }
 
-    /// Rebuilds an ingest from a checkpoint document.
+    /// Rebuilds an ingest from a checkpoint document of either trace kind:
+    /// an exact-only document restores an exact-only ingest, a fused one a
+    /// fused ingest.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem.
+    /// Returns a description of the first structural problem — including
+    /// an exact timeline that repeats an address or whose length differs
+    /// from the cold count (the footprint), which no real run can write.
     pub fn from_json(text: &str, threads: usize) -> Result<TraceIngest, String> {
-        let doc = job::parse_checkpoint(text, JobKind::TraceIngest)?;
-        let fingerprint = doc
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing fingerprint")?
-            .to_string();
-        let total = doc
-            .get("total_accesses")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing total_accesses")?;
+        let doc = jsonio::parse(text)?;
+        let kind = job::checkpoint_kind(&doc, &[JobKind::TraceIngest, JobKind::FusedIngest])?;
+        let (fingerprint, total) = parse_trace_header(&doc)?;
         let chunk_count = doc
             .get("chunk_count")
             .and_then(JsonValue::as_usize)
@@ -2412,6 +2609,10 @@ impl TraceIngest {
                 "chunk_count {chunk_count} exceeds the {total} accesses of the trace"
             ));
         }
+        let plan = match kind {
+            JobKind::FusedIngest => Some(parse_sampled_plan(&doc)?),
+            _ => None,
+        };
         let next_chunk = doc
             .get("next_chunk")
             .and_then(JsonValue::as_usize)
@@ -2421,56 +2622,33 @@ impl TraceIngest {
                 "next_chunk {next_chunk} exceeds chunk_count {chunk_count}"
             ));
         }
-        let cold = doc
-            .get("cold")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing cold")?;
-        let mut state = MergeState::new();
-        state.histogram.record_cold(cold);
-        let entries = doc
-            .get("histogram")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing histogram")?;
-        for entry in entries {
-            let pair = entry.as_array().ok_or("histogram entry is not a pair")?;
-            let (d, c) = match pair {
-                [d, c] => (
-                    d.as_usize().ok_or("bad histogram distance")?,
-                    c.as_u64().ok_or("bad histogram count")?,
-                ),
-                _ => return Err("histogram entry is not a pair".to_string()),
-            };
-            if d == 0 {
-                return Err("histogram distance 0 is not representable".to_string());
-            }
-            state.histogram.record_finite(d, c);
-        }
-        let timeline = doc
-            .get("timeline")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing timeline")?;
-        for addr in timeline {
-            state
-                .timeline
-                .append(addr.as_u64().ok_or("bad timeline address")?);
-        }
-        Ok(TraceIngest {
+        let mut ingest = TraceIngest {
             fingerprint,
             total,
             chunk_count,
             threads: threads.max(1),
             next_chunk,
-            state,
-        })
-    }
-
-    /// Writes the checkpoint to `path` atomically (temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        jsonio::save_atomic(path, &self.to_json())
+            state: MergeState::new(),
+            sampled: None,
+        };
+        if plan.is_some() {
+            let streamed = doc
+                .get("streamed")
+                .and_then(JsonValue::as_u64)
+                .ok_or("missing streamed")?;
+            if streamed != ingest.streamed_accesses() {
+                return Err(format!(
+                    "streamed {streamed} does not match the {} accesses of the \
+                     {next_chunk} absorbed chunks",
+                    ingest.streamed_accesses()
+                ));
+            }
+        }
+        ingest.state = parse_merge_state(&doc)?;
+        if let Some((plan, threshold)) = plan {
+            ingest.sampled = Some(parse_sampled_half(&doc, plan, threshold)?);
+        }
+        Ok(ingest)
     }
 
     /// Loads a checkpoint from `path`, or plans a fresh ingest when the
@@ -2478,56 +2656,169 @@ impl TraceIngest {
     /// Returns the ingest and whether progress was actually resumed.
     ///
     /// The source is always re-scanned: a checkpoint only resumes when its
-    /// fingerprint, its chunk plan *and* its recorded access count all
-    /// match the source as it exists now. File fingerprints are path-based,
-    /// so the length check is what catches a file that was truncated,
-    /// appended to or replaced between runs (an equal-length content swap
-    /// is not detectable without hashing every resume — don't do that).
+    /// fingerprint, its chunk plan, its sampled plan *and* its recorded
+    /// access count all match the source as it exists now. File
+    /// fingerprints are path-based, so the length check is what catches a
+    /// file that was truncated, appended to or replaced between runs (an
+    /// equal-length content swap is not detectable without hashing every
+    /// resume — don't do that).
     ///
     /// # Errors
     ///
     /// Returns the source scan error, or a loud kind-mismatch error when
-    /// the file holds a checkpoint of a *different* job kind (see
+    /// the file holds a checkpoint of a *different* job kind — an exact
+    /// plan pointed at a fused checkpoint included (see
     /// [`crate::job::resume_or_new_with`]).
     pub fn resume_or_new(
         source: &TraceSource,
         chunk_count: usize,
+        sampled: Option<SampledPlan>,
         threads: usize,
         path: &Path,
     ) -> Result<(TraceIngest, bool), String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
+        let total = scan_total(source)?;
+        let kind = match sampled {
+            None => JobKind::TraceIngest,
+            Some(_) => JobKind::FusedIngest,
+        };
         job::resume_or_new_with(
             path,
-            JobKind::TraceIngest,
+            kind,
             |text| TraceIngest::from_json(text, threads),
             |ingest| {
                 ingest.fingerprint == source.fingerprint()
                     && ingest.total == total
                     && ingest.chunk_count == Self::effective_chunk_count(chunk_count, total)
+                    && ingest.sampled_plan() == sampled
+                    && ingest
+                        .sampled
+                        .as_ref()
+                        .is_none_or(|half| half.threshold == SHARDS_MODULUS)
             },
             TraceIngest::completed_count,
-            || Self::with_total(source, total, chunk_count, threads),
+            || Self::with_total(source, total, chunk_count, sampled, threads),
         )
     }
 }
 
+/// Restores the exact merge state of a trace checkpoint: the histogram and
+/// the timeline, rejecting a timeline that repeats an address or does not
+/// hold exactly one address per cold access.
+fn parse_merge_state(doc: &JsonValue) -> Result<MergeState, String> {
+    let cold = doc
+        .get("cold")
+        .and_then(JsonValue::as_u64)
+        .ok_or("missing cold")?;
+    let mut state = MergeState::new();
+    state.histogram.record_cold(cold);
+    let entries = doc
+        .get("histogram")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing histogram")?;
+    for entry in entries {
+        let pair = entry.as_array().ok_or("histogram entry is not a pair")?;
+        let (d, c) = match pair {
+            [d, c] => (
+                d.as_usize().ok_or("bad histogram distance")?,
+                c.as_u64().ok_or("bad histogram count")?,
+            ),
+            _ => return Err("histogram entry is not a pair".to_string()),
+        };
+        if d == 0 {
+            return Err("histogram distance 0 is not representable".to_string());
+        }
+        state.histogram.record_finite(d, c);
+    }
+    let timeline = doc
+        .get("timeline")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing timeline")?;
+    for addr in timeline {
+        let addr = addr.as_u64().ok_or("bad timeline address")?;
+        if state.timeline.observe(addr).is_some() {
+            return Err(format!("timeline address {addr} appears twice"));
+        }
+    }
+    if state.timeline.live() as u64 != cold {
+        return Err(format!(
+            "timeline holds {} addresses but the cold count (footprint) is {cold}",
+            state.timeline.live()
+        ));
+    }
+    Ok(state)
+}
+
+/// Restores the live estimators of a fused trace checkpoint.
+fn parse_sampled_half(
+    doc: &JsonValue,
+    plan: SampledPlan,
+    threshold: u64,
+) -> Result<SampledHalf, String> {
+    let entries = doc
+        .get("shards")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing shards")?;
+    if entries.len() != plan.shard_count {
+        return Err(format!(
+            "shard_count {} does not match {} shard entries",
+            plan.shard_count,
+            entries.len()
+        ));
+    }
+    let mut estimators = Vec::with_capacity(plan.shard_count);
+    for (index, entry) in entries.iter().enumerate() {
+        estimators.push(parse_estimator_entry(
+            entry,
+            "shard",
+            plan.budget_per_shard,
+            threshold,
+            (index as u64, plan.shard_count as u64),
+        )?);
+    }
+    Ok(SampledHalf {
+        plan,
+        threshold,
+        estimators,
+    })
+}
+
+/// Restores the live estimator of one checkpointed entry written by
+/// [`write_estimator_entry`]: hash shard `shard.0` of `shard.1`, with a
+/// tracked-address budget and a threshold of at most `max_threshold`.
+pub(crate) fn parse_estimator_entry(
+    entry: &JsonValue,
+    what: &str,
+    budget: usize,
+    max_threshold: u64,
+    shard: (u64, u64),
+) -> Result<ShardsEstimator, String> {
+    let tracked = entry
+        .get("tracked")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("{what} missing tracked"))?
+        .iter()
+        .map(|addr| addr.as_u64().ok_or("bad tracked address"))
+        .collect::<Result<Vec<u64>, _>>()?;
+    let result = parse_shard_entry(entry, what, max_threshold, tracked.len())?;
+    ShardsEstimator::restore_for_shard(budget, shard.0, shard.1, result, &tracked)
+}
+
 /// A [`TraceIngest`] bound to its trace source and materialized chunk
 /// plan: the [`Job`] the generic runner drives. One unit is one contiguous
-/// trace chunk; partials are PARDA-mergeable [`ChunkPartial`]s absorbed in
-/// chunk order into the [`MergeState`].
-struct TraceIngestJob<'a> {
+/// trace chunk, streamed **once**; absorption advances the exact merge
+/// and, when fused, replays the routed slices through the live
+/// estimators, both strictly in chunk order.
+struct ChunkedTraceJob<'a> {
     ingest: &'a mut TraceIngest,
     source: &'a TraceSource,
     bounds: Vec<(u64, u64)>,
 }
 
-impl Job for TraceIngestJob<'_> {
-    type Partial = ChunkPartial;
+impl Job for ChunkedTraceJob<'_> {
+    type Partial = FusedChunkPartial;
 
     fn kind(&self) -> JobKind {
-        JobKind::TraceIngest
+        self.ingest.kind()
     }
 
     fn fingerprint(&self) -> String {
@@ -2560,800 +2851,9 @@ impl Job for TraceIngestJob<'_> {
 
     /// Workers decode and fold chunks in parallel over the block-streaming
     /// path — `.sltr` sources seek via the SLIX sidecar and decode varint
-    /// runs zero-copy — while [`TraceIngestJob::absorb`] keeps the exact
-    /// merge sequential and in chunk order.
-    fn run_span(&self, units: &[usize], out: &mut Vec<(usize, ChunkPartial)>) {
-        for &unit in units {
-            let (start, end) = self.bounds[unit];
-            let mut blocks = self
-                .source
-                .stream_blocks_range(start, end)
-                .expect("validated source streams");
-            out.push((unit, chunk_partial_blocks(blocks.as_mut())));
-        }
-    }
-
-    fn absorb(&mut self, unit: usize, partial: ChunkPartial) {
-        debug_assert_eq!(unit, self.ingest.next_chunk, "chunks absorb in order");
-        self.ingest.state.absorb(&partial);
-        self.ingest.next_chunk += 1;
-    }
-
-    fn to_json(&self) -> String {
-        self.ingest.to_json()
-    }
-
-    /// Completed chunks are a contiguous prefix of the access range, so
-    /// the accesses streamed so far are the end of the last absorbed
-    /// chunk's bounds.
-    fn progress_items(&self) -> Option<(&'static str, u64)> {
-        let done = self.ingest.next_chunk;
-        let streamed = if done == 0 {
-            0
-        } else {
-            self.bounds[done - 1].1
-        };
-        Some(("accesses", streamed))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The fused single-pass exact+sampled ingest
-// ---------------------------------------------------------------------------
-
-/// Format tag embedded in every fused-ingest checkpoint document.
-#[cfg(test)]
-const FUSED_CHECKPOINT_KIND: &str = JobKind::FusedIngest.kind_str();
-
-/// The mergeable partial result of one trace chunk of a [`FusedIngest`]:
-/// the exact [`ChunkPartial`] plus the chunk's accesses routed to their
-/// owning hash shards. Shard `i` holds the sub-sequence of the chunk with
-/// `splitmix64(addr) % SHARDS_MODULUS ≡ i (mod shard_count)`, in access
-/// order, so concatenating a shard's slices across chunks (which absorbing
-/// in chunk order does) reproduces exactly the access sequence the
-/// sampled pipeline feeds that shard's [`ShardsEstimator`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedChunkPartial {
-    /// The exact mergeable partial of the chunk.
-    pub exact: ChunkPartial,
-    /// The chunk's accesses partitioned by owning hash shard (access order
-    /// preserved within each shard; every access lands in exactly one).
-    pub routed: Vec<Vec<u64>>,
-    /// Accesses the decode pass delivered while folding the chunk — the
-    /// single-pass proof counter ([`FusedIngest::streamed_accesses`] sums
-    /// it; a complete fused run totals exactly the trace length, one
-    /// observation per access).
-    pub streamed: u64,
-}
-
-/// Folds one contiguous chunk of block-streamed accesses into a
-/// [`FusedChunkPartial`], broadcasting every decoded block to the exact
-/// chunk folder, the per-shard routing buffers *and* `sink` — the single
-/// decode pass of the fused pipeline. `sink` is the extension seam for
-/// future per-access consumers (the serve daemon's live feed); pass a
-/// [`CountingSink`] to prove the pass touches each access exactly once.
-///
-/// # Panics
-///
-/// Panics if `shard_count == 0`, or on the block reader's deferred I/O
-/// errors (callers validate sources with `total_accesses` first).
-#[must_use]
-pub fn fused_chunk_partial(
-    blocks: &mut dyn BlockRead,
-    shard_count: usize,
-    sink: &mut dyn AccessSink,
-) -> FusedChunkPartial {
-    assert!(shard_count > 0, "at least one hash shard is required");
-    let mut folder = ChunkFolder::default();
-    let mut routed = vec![Vec::new(); shard_count];
-    let count = shard_count as u64;
-    let mut streamed = 0u64;
-    let mut buf = Vec::new();
-    while blocks.next_block(&mut buf) > 0 {
-        sink.on_block(&buf);
-        streamed += buf.len() as u64;
-        for &addr in &buf {
-            folder.push(addr);
-            let shard = splitmix64(addr) % SHARDS_MODULUS % count;
-            routed[usize::try_from(shard).expect("shard index fits usize")].push(addr);
-        }
-    }
-    FusedChunkPartial {
-        exact: folder.finish(),
-        routed,
-        streamed,
-    }
-}
-
-/// The fused single-pass exact+sampled ingest: one chunk-sharded streaming
-/// pass over the source produces **both** the exact reuse-distance
-/// histogram and the hash-sharded sampled estimate — where running
-/// [`TraceIngest`] then [`SampledIngest`] would stream the trace once per
-/// pipeline (and the sampled workers once per thread).
-///
-/// The chunk plan is [`TraceIngest`]'s exactly, so the exact side is
-/// byte-identical to a plain exact ingest. Each worker folds its chunks
-/// through [`fused_chunk_partial`]: one block-decode pass feeds the exact
-/// `ChunkFolder`, routes every access to its owning hash shard's buffer,
-/// and taps any extra [`AccessSink`]. Absorbing partials in chunk order
-/// advances the exact [`MergeState`] and replays each shard's slice
-/// through its **live** [`ShardsEstimator`] — the concatenated replays are
-/// exactly the call sequence [`SampledIngest`] makes, so the sampled
-/// results (thresholds, counters, weighted histograms, float for float)
-/// are bit-identical to the two-pass pipeline at the same shard count.
-///
-/// Checkpoints capture the exact merge state *and* every estimator
-/// mid-stream (counters, weighted histogram, tracked addresses in
-/// last-access order), so a killed fused ingest resumes to a
-/// byte-identical final checkpoint like every other [`Job`].
-#[derive(Debug, Clone)]
-pub struct FusedIngest {
-    fingerprint: String,
-    total: u64,
-    chunk_count: usize,
-    shard_count: usize,
-    budget_per_shard: usize,
-    threshold: u64,
-    threads: usize,
-    next_chunk: usize,
-    streamed: u64,
-    state: MergeState,
-    estimators: Vec<ShardsEstimator>,
-}
-
-impl FusedIngest {
-    /// Plans a fused ingest of `source` split into `chunk_count` chunks,
-    /// with `shard_count` hash shards of `budget_per_shard` tracked
-    /// addresses each on the sampled side.
-    ///
-    /// Scans the source once to learn (and validate) its length.
-    ///
-    /// # Errors
-    ///
-    /// Returns the source's read or parse error as a string.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_count == 0`, `shard_count == 0` or
-    /// `budget_per_shard == 0`.
-    pub fn new(
-        source: &TraceSource,
-        chunk_count: usize,
-        shard_count: usize,
-        budget_per_shard: usize,
-        threads: usize,
-    ) -> Result<Self, String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
-        Ok(Self::with_total(
-            source,
-            total,
-            chunk_count,
-            shard_count,
-            budget_per_shard,
-            threads,
-        ))
-    }
-
-    /// Plans a fresh fused ingest for a source whose length is already
-    /// known.
-    fn with_total(
-        source: &TraceSource,
-        total: u64,
-        chunk_count: usize,
-        shard_count: usize,
-        budget_per_shard: usize,
-        threads: usize,
-    ) -> Self {
-        assert!(chunk_count > 0, "at least one chunk is required");
-        assert!(shard_count > 0, "at least one hash shard is required");
-        assert!(
-            budget_per_shard > 0,
-            "the per-shard budget must be positive"
-        );
-        let estimators = (0..shard_count)
-            .map(|i| {
-                ShardsEstimator::for_shard(
-                    budget_per_shard,
-                    SHARDS_MODULUS,
-                    i as u64,
-                    shard_count as u64,
-                )
-            })
-            .collect();
-        FusedIngest {
-            fingerprint: source.fingerprint(),
-            total,
-            chunk_count: TraceIngest::effective_chunk_count(chunk_count, total),
-            shard_count,
-            budget_per_shard,
-            threshold: SHARDS_MODULUS,
-            threads: threads.max(1),
-            next_chunk: 0,
-            streamed: 0,
-            state: MergeState::new(),
-            estimators,
-        }
-    }
-
-    /// The source fingerprint the ingest belongs to.
-    #[must_use]
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
-
-    /// Total accesses of the source.
-    #[must_use]
-    pub fn total_accesses(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of planned chunks.
-    #[must_use]
-    pub fn chunk_count(&self) -> usize {
-        self.chunk_count
-    }
-
-    /// Number of hash shards on the sampled side.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The per-shard tracked-address budget of the sampled side.
-    #[must_use]
-    pub fn budget_per_shard(&self) -> usize {
-        self.budget_per_shard
-    }
-
-    /// Number of chunks already absorbed.
-    #[must_use]
-    pub fn completed_count(&self) -> usize {
-        self.next_chunk
-    }
-
-    /// True when every chunk has been absorbed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.next_chunk >= self.chunk_count
-    }
-
-    /// Accesses the fused decode pass has delivered so far — exactly one
-    /// observation per absorbed access, which is the single-pass proof: a
-    /// complete fused run reports exactly the trace length here, where the
-    /// two-pass pipelines would have streamed every access at least twice.
-    #[must_use]
-    pub fn streamed_accesses(&self) -> u64 {
-        self.streamed
-    }
-
-    /// The exact histogram, or `None` while chunks are pending.
-    #[must_use]
-    pub fn exact_histogram(&self) -> Option<&StreamHistogram> {
-        self.is_complete().then(|| self.state.histogram())
-    }
-
-    /// The partial exact histogram absorbed so far (complete or not).
-    #[must_use]
-    pub fn partial_exact_histogram(&self) -> &StreamHistogram {
-        self.state.histogram()
-    }
-
-    /// Distinct addresses absorbed so far (exact side).
-    #[must_use]
-    pub fn footprint(&self) -> usize {
-        self.state.footprint()
-    }
-
-    /// The per-shard sampled results as they stand now (mid-stream while
-    /// chunks are pending; final when complete — then bit-identical to
-    /// [`SampledIngest::shard_results`] at the same shard count).
-    #[must_use]
-    pub fn sampled_shard_results(&self) -> Vec<SampledShardResult> {
-        self.estimators
-            .iter()
-            .map(SampledShardResult::from_estimator)
-            .collect()
-    }
-
-    /// The merged sampled summary, or `None` while chunks are pending.
-    /// Merges in shard order with the same float-addition order as
-    /// [`SampledIngest::merged`], so the two pipelines' summaries are
-    /// bit-identical.
-    #[must_use]
-    pub fn sampled_summary(&self) -> Option<SampledSummary> {
-        if !self.is_complete() {
-            return None;
-        }
-        let mut histogram = WeightedHistogram::default();
-        let (mut raw, mut sampled, mut evictions) = (0u64, 0u64, 0u64);
-        let mut min_rate = f64::INFINITY;
-        for est in &self.estimators {
-            histogram.merge(est.histogram());
-            raw += est.raw_accesses();
-            sampled += est.sampled_accesses();
-            evictions += est.evictions();
-            min_rate = min_rate.min(est.sampling_rate());
-        }
-        Some(SampledSummary {
-            histogram,
-            raw_accesses: raw,
-            sampled_accesses: sampled,
-            evictions,
-            min_rate,
-        })
-    }
-
-    /// The deterministic chunk plan — [`TraceIngest`]'s exactly, which is
-    /// what makes the fused exact side byte-identical to a plain ingest.
-    fn chunk_bounds(&self) -> Vec<(u64, u64)> {
-        split_indices(
-            usize::try_from(self.total).expect("trace length fits usize"),
-            self.chunk_count,
-        )
-        .into_iter()
-        .map(|c| (c.start as u64, c.end as u64))
-        .collect()
-    }
-
-    /// Binds the ingest to its (fingerprint-checked) source so the generic
-    /// [`JobRunner`] can drive it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source does not match the ingest's fingerprint.
-    fn bind<'a>(&'a mut self, source: &'a TraceSource) -> FusedIngestJob<'a> {
-        assert_eq!(
-            source.fingerprint(),
-            self.fingerprint,
-            "fused ingest resumed against a different trace source"
-        );
-        let bounds = self.chunk_bounds();
-        FusedIngestJob {
-            ingest: self,
-            source,
-            bounds,
-        }
-    }
-
-    /// Runs up to `limit` pending chunks (all of them when `None`) in
-    /// parallel batches of the configured thread count, absorbing fused
-    /// partials in chunk order. Returns how many chunks were processed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source no longer matches the ingest's fingerprint, or
-    /// if it fails to stream (sources are validated by [`FusedIngest::new`]).
-    pub fn run_pending(&mut self, source: &TraceSource, limit: Option<usize>) -> usize {
-        JobRunner::run_pending(&mut self.bind(source), limit)
-    }
-
-    /// [`Self::run_pending`] with optional instrumentation — identical
-    /// execution and results; the registry only observes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source no longer matches the ingest's fingerprint, or
-    /// if it fails to stream (sources are validated on construction).
-    pub fn run_pending_metered(
-        &mut self,
-        source: &TraceSource,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-    ) -> usize {
-        JobRunner::run_pending_metered(&mut self.bind(source), limit, metrics)
-    }
-
-    /// Runs pending chunks — all, or up to `limit` — saving the checkpoint
-    /// after every absorbed batch, so a kill loses at most one batch.
-    /// `on_batch(completed, total)` fires after every save. The checkpoint
-    /// is (re)written even when nothing was pending. The loop is
-    /// [`JobRunner::run_with_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint(&mut self.bind(source), path, limit, on_batch)
-    }
-
-    /// [`FusedIngest::run_with_checkpoint`] with the runner's metrics
-    /// registry attached — identical execution, checkpoint bytes and
-    /// results; the registry only observes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if a checkpoint cannot be written.
-    pub fn run_with_checkpoint_metered(
-        &mut self,
-        source: &TraceSource,
-        path: &Path,
-        limit: Option<usize>,
-        metrics: Option<&mut crate::obs::MetricsRegistry>,
-        on_batch: impl FnMut(usize, usize),
-    ) -> std::io::Result<usize> {
-        JobRunner::run_with_checkpoint_metered(
-            &mut self.bind(source),
-            path,
-            limit,
-            metrics,
-            on_batch,
-        )
-    }
-
-    /// Serializes the ingest — plan, progress, exact merge state, and
-    /// every estimator's mid-stream state — as a JSON checkpoint document.
-    /// Both sides serialize canonically (timelines as ordered address
-    /// lists, weights as shortest round-trip decimals), so two ingests in
-    /// the same logical state serialize byte-identically however they got
-    /// there.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        job::write_checkpoint_header(&mut out, JobKind::FusedIngest, &self.fingerprint);
-        let _ = writeln!(out, "  \"total_accesses\": {},", self.total);
-        let _ = writeln!(out, "  \"chunk_count\": {},", self.chunk_count);
-        let _ = writeln!(out, "  \"shard_count\": {},", self.shard_count);
-        let _ = writeln!(out, "  \"budget_per_shard\": {},", self.budget_per_shard);
-        let _ = writeln!(out, "  \"threshold\": {},", self.threshold);
-        let _ = writeln!(out, "  \"next_chunk\": {},", self.next_chunk);
-        let _ = writeln!(out, "  \"streamed\": {},", self.streamed);
-        let _ = writeln!(out, "  \"cold\": {},", self.state.histogram.cold_count());
-        out.push_str("  \"histogram\": [");
-        for (i, (d, c)) in self.state.histogram.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}[{d}, {c}]");
-        }
-        out.push_str("],\n");
-        out.push_str("  \"timeline\": [");
-        for (i, addr) in self.state.timeline.ordered_addresses().iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}{addr}");
-        }
-        out.push_str("],\n");
-        out.push_str("  \"shards\": [\n");
-        for (i, est) in self.estimators.iter().enumerate() {
-            let sep = if i + 1 < self.estimators.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = write!(
-                out,
-                "    {{\"threshold\": {}, \"raw\": {}, \"sampled\": {}, \"evictions\": {}, \"cold\": {}, \"histogram\": [",
-                est.threshold(),
-                est.raw_accesses(),
-                est.sampled_accesses(),
-                est.evictions(),
-                est.histogram().cold_weight(),
-            );
-            for (j, (d, w)) in est.histogram().iter().enumerate() {
-                let comma = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{comma}[{d}, {w}]");
-            }
-            out.push_str("], \"tracked\": [");
-            for (j, addr) in est.tracked_in_order().iter().enumerate() {
-                let comma = if j == 0 { "" } else { ", " };
-                let _ = write!(out, "{comma}{addr}");
-            }
-            let _ = writeln!(out, "]}}{sep}");
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Rebuilds a fused ingest from a checkpoint document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem.
-    pub fn from_json(text: &str, threads: usize) -> Result<FusedIngest, String> {
-        let doc = job::parse_checkpoint(text, JobKind::FusedIngest)?;
-        let fingerprint = doc
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing fingerprint")?
-            .to_string();
-        let total = doc
-            .get("total_accesses")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing total_accesses")?;
-        let chunk_count = doc
-            .get("chunk_count")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing chunk_count")?;
-        if chunk_count == 0 {
-            return Err("chunk_count must be positive".to_string());
-        }
-        if chunk_count != TraceIngest::effective_chunk_count(chunk_count, total) {
-            return Err(format!(
-                "chunk_count {chunk_count} exceeds the {total} accesses of the trace"
-            ));
-        }
-        let shard_count = doc
-            .get("shard_count")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing shard_count")?;
-        if shard_count == 0 {
-            return Err("shard_count must be positive".to_string());
-        }
-        let budget_per_shard = doc
-            .get("budget_per_shard")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing budget_per_shard")?;
-        if budget_per_shard == 0 {
-            return Err("budget_per_shard must be positive".to_string());
-        }
-        let threshold = doc
-            .get("threshold")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing threshold")?;
-        if threshold == 0 || threshold > SHARDS_MODULUS {
-            return Err(format!(
-                "threshold {threshold} outside 1..={SHARDS_MODULUS}"
-            ));
-        }
-        let next_chunk = doc
-            .get("next_chunk")
-            .and_then(JsonValue::as_usize)
-            .ok_or("missing next_chunk")?;
-        if next_chunk > chunk_count {
-            return Err(format!(
-                "next_chunk {next_chunk} exceeds chunk_count {chunk_count}"
-            ));
-        }
-        let streamed = doc
-            .get("streamed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing streamed")?;
-        let cold = doc
-            .get("cold")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing cold")?;
-        let mut state = MergeState::new();
-        state.histogram.record_cold(cold);
-        let entries = doc
-            .get("histogram")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing histogram")?;
-        for entry in entries {
-            let pair = entry.as_array().ok_or("histogram entry is not a pair")?;
-            let (d, c) = match pair {
-                [d, c] => (
-                    d.as_usize().ok_or("bad histogram distance")?,
-                    c.as_u64().ok_or("bad histogram count")?,
-                ),
-                _ => return Err("histogram entry is not a pair".to_string()),
-            };
-            if d == 0 {
-                return Err("histogram distance 0 is not representable".to_string());
-            }
-            state.histogram.record_finite(d, c);
-        }
-        let timeline = doc
-            .get("timeline")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing timeline")?;
-        for addr in timeline {
-            state
-                .timeline
-                .append(addr.as_u64().ok_or("bad timeline address")?);
-        }
-        let shard_entries = doc
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing shards")?;
-        if shard_entries.len() != shard_count {
-            return Err(format!(
-                "shard_count {shard_count} does not match {} shard entries",
-                shard_entries.len()
-            ));
-        }
-        let mut estimators = Vec::with_capacity(shard_count);
-        for (index, entry) in shard_entries.iter().enumerate() {
-            let shard_threshold = entry
-                .get("threshold")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing threshold")?;
-            if shard_threshold == 0 || shard_threshold > threshold {
-                return Err(format!(
-                    "shard threshold {shard_threshold} outside 1..={threshold}"
-                ));
-            }
-            let raw_accesses = entry
-                .get("raw")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing raw")?;
-            let sampled_accesses = entry
-                .get("sampled")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing sampled")?;
-            let evictions = entry
-                .get("evictions")
-                .and_then(JsonValue::as_u64)
-                .ok_or("shard missing evictions")?;
-            let cold = entry
-                .get("cold")
-                .and_then(JsonValue::as_f64)
-                .ok_or("shard missing cold")?;
-            if !cold.is_finite() || cold < 0.0 {
-                return Err(format!("shard cold weight {cold} is not a finite count"));
-            }
-            let mut histogram = WeightedHistogram::default();
-            histogram.record_cold(cold);
-            let bins = entry
-                .get("histogram")
-                .and_then(JsonValue::as_array)
-                .ok_or("shard missing histogram")?;
-            for bin in bins {
-                let pair = bin.as_array().ok_or("histogram entry is not a pair")?;
-                let (d, w) = match pair {
-                    [d, w] => (
-                        d.as_usize().ok_or("bad histogram distance")?,
-                        w.as_f64().ok_or("bad histogram weight")?,
-                    ),
-                    _ => return Err("histogram entry is not a pair".to_string()),
-                };
-                if d == 0 {
-                    return Err("histogram distance 0 is not representable".to_string());
-                }
-                if !w.is_finite() || w < 0.0 {
-                    return Err(format!("histogram weight {w} is not a finite count"));
-                }
-                histogram.record_finite(d, w);
-            }
-            let tracked_entries = entry
-                .get("tracked")
-                .and_then(JsonValue::as_array)
-                .ok_or("shard missing tracked")?;
-            let mut tracked = Vec::with_capacity(tracked_entries.len());
-            for addr in tracked_entries {
-                tracked.push(addr.as_u64().ok_or("bad tracked address")?);
-            }
-            estimators.push(ShardsEstimator::restore_for_shard(
-                budget_per_shard,
-                shard_threshold,
-                index as u64,
-                shard_count as u64,
-                raw_accesses,
-                sampled_accesses,
-                evictions,
-                histogram,
-                &tracked,
-            )?);
-        }
-        Ok(FusedIngest {
-            fingerprint,
-            total,
-            chunk_count,
-            shard_count,
-            budget_per_shard,
-            threshold,
-            threads: threads.max(1),
-            next_chunk,
-            streamed,
-            state,
-            estimators,
-        })
-    }
-
-    /// Writes the checkpoint to `path` atomically (temp file + rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        jsonio::save_atomic(path, &self.to_json())
-    }
-
-    /// Loads a checkpoint from `path`, or plans a fresh fused ingest when
-    /// the file does not exist or belongs to a different source or plan
-    /// (same policy, and same length-based staleness check, as
-    /// [`TraceIngest::resume_or_new`]). Returns the ingest and whether
-    /// progress was actually resumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns the source scan error, or a loud kind-mismatch error when
-    /// the file holds a checkpoint of a *different* job kind (see
-    /// [`crate::job::resume_or_new_with`]).
-    pub fn resume_or_new(
-        source: &TraceSource,
-        chunk_count: usize,
-        shard_count: usize,
-        budget_per_shard: usize,
-        threads: usize,
-        path: &Path,
-    ) -> Result<(FusedIngest, bool), String> {
-        let total = source
-            .total_accesses()
-            .map_err(|e| format!("cannot scan {source}: {e}"))?;
-        job::resume_or_new_with(
-            path,
-            JobKind::FusedIngest,
-            |text| FusedIngest::from_json(text, threads),
-            |ingest| {
-                ingest.fingerprint == source.fingerprint()
-                    && ingest.total == total
-                    && ingest.chunk_count == TraceIngest::effective_chunk_count(chunk_count, total)
-                    && ingest.shard_count == shard_count
-                    && ingest.budget_per_shard == budget_per_shard
-                    && ingest.threshold == SHARDS_MODULUS
-            },
-            FusedIngest::completed_count,
-            || {
-                Self::with_total(
-                    source,
-                    total,
-                    chunk_count,
-                    shard_count,
-                    budget_per_shard,
-                    threads,
-                )
-            },
-        )
-    }
-}
-
-/// A [`FusedIngest`] bound to its trace source and materialized chunk
-/// plan: the [`Job`] the generic runner drives. One unit is one contiguous
-/// trace chunk, streamed **once** through the [`fused_chunk_partial`]
-/// broadcast tap; absorption advances the exact merge and replays the
-/// routed slices through the live estimators, both strictly in chunk
-/// order.
-struct FusedIngestJob<'a> {
-    ingest: &'a mut FusedIngest,
-    source: &'a TraceSource,
-    bounds: Vec<(u64, u64)>,
-}
-
-impl Job for FusedIngestJob<'_> {
-    type Partial = FusedChunkPartial;
-
-    fn kind(&self) -> JobKind {
-        JobKind::FusedIngest
-    }
-
-    fn fingerprint(&self) -> String {
-        self.ingest.fingerprint.clone()
-    }
-
-    fn threads(&self) -> usize {
-        self.ingest.threads
-    }
-
-    fn unit_count(&self) -> usize {
-        self.ingest.chunk_count
-    }
-
-    fn completed_count(&self) -> usize {
-        self.ingest.next_chunk
-    }
-
-    /// Completion is always a contiguous prefix (both merge sides advance
-    /// chunk by chunk), so the pending list is the remaining suffix.
-    fn pending_units(&self) -> Vec<usize> {
-        (self.ingest.next_chunk..self.ingest.chunk_count).collect()
-    }
-
-    /// Both absorbed states must advance before the next pass is planned,
-    /// so one pass takes at most one chunk per worker.
-    fn units_per_pass(&self, threads: usize) -> usize {
-        threads
-    }
-
-    /// Workers decode and fold chunks in parallel over the block-streaming
-    /// path — each chunk streamed exactly once through the broadcast tap
-    /// (a [`CountingSink`] rides along and cross-checks the single-pass
-    /// counter) — while [`FusedIngestJob::absorb`] keeps both merges
-    /// sequential and in chunk order.
+    /// runs zero-copy — while [`ChunkedTraceJob::absorb`] keeps the merges
+    /// sequential and in chunk order. An exact-only chunk never hashes or
+    /// routes an access.
     fn run_span(&self, units: &[usize], out: &mut Vec<(usize, FusedChunkPartial)>) {
         for &unit in units {
             let (start, end) = self.bounds[unit];
@@ -3361,13 +2861,23 @@ impl Job for FusedIngestJob<'_> {
                 .source
                 .stream_blocks_range(start, end)
                 .expect("validated source streams");
-            let mut tap = CountingSink::new();
-            let partial = fused_chunk_partial(blocks.as_mut(), self.ingest.shard_count, &mut tap);
-            debug_assert_eq!(
-                tap.accesses(),
-                partial.streamed,
-                "the broadcast tap observes every access exactly once"
-            );
+            let partial = match &self.ingest.sampled {
+                None => FusedChunkPartial {
+                    exact: chunk_partial_blocks(blocks.as_mut()),
+                    routed: Vec::new(),
+                },
+                Some(half) => {
+                    let mut tap = CountingSink::new();
+                    let partial =
+                        fused_chunk_partial(blocks.as_mut(), half.plan.shard_count, &mut tap);
+                    debug_assert_eq!(
+                        tap.accesses(),
+                        partial.exact.accesses,
+                        "the broadcast tap observes every access exactly once"
+                    );
+                    partial
+                }
+            };
             out.push((unit, partial));
         }
     }
@@ -3375,19 +2885,14 @@ impl Job for FusedIngestJob<'_> {
     fn absorb(&mut self, unit: usize, partial: FusedChunkPartial) {
         debug_assert_eq!(unit, self.ingest.next_chunk, "chunks absorb in order");
         self.ingest.state.absorb(&partial.exact);
-        for (shard, slice) in partial.routed.iter().enumerate() {
-            let est = &mut self.ingest.estimators[shard];
-            for &addr in slice {
-                let hash = splitmix64(addr) % SHARDS_MODULUS;
-                debug_assert_eq!(
-                    hash % self.ingest.shard_count as u64,
-                    shard as u64,
-                    "routed addresses replay into their owning shard"
-                );
-                est.record_hashed(addr, hash);
+        if let Some(half) = &mut self.ingest.sampled {
+            for (shard, slice) in partial.routed.iter().enumerate() {
+                let est = &mut half.estimators[shard];
+                for &addr in slice {
+                    est.record_hashed(addr, splitmix64(addr) % SHARDS_MODULUS);
+                }
             }
         }
-        self.ingest.streamed += partial.streamed;
         self.ingest.next_chunk += 1;
     }
 
@@ -3396,7 +2901,7 @@ impl Job for FusedIngestJob<'_> {
     }
 
     fn progress_items(&self) -> Option<(&'static str, u64)> {
-        Some(("accesses", self.ingest.streamed))
+        Some(("accesses", self.ingest.streamed_accesses()))
     }
 }
 
@@ -3407,6 +2912,63 @@ mod tests {
     use symloc_trace::generators::{cyclic_trace, sawtooth_trace, zipfian_trace};
     use symloc_trace::stream::GenSpec;
     use symloc_trace::Trace;
+
+    /// A fused plan of `shard_count` hash shards × `budget_per_shard`.
+    fn plan(shard_count: usize, budget_per_shard: usize) -> Option<SampledPlan> {
+        Some(SampledPlan {
+            shard_count,
+            budget_per_shard,
+        })
+    }
+
+    /// The two trace jobs' shared run surface, so one checkpointing helper
+    /// drives both.
+    trait TraceRun {
+        fn run_on(
+            &mut self,
+            source: &TraceSource,
+            options: RunOptions<'_>,
+        ) -> std::io::Result<usize>;
+    }
+
+    impl TraceRun for TraceIngest {
+        fn run_on(
+            &mut self,
+            source: &TraceSource,
+            options: RunOptions<'_>,
+        ) -> std::io::Result<usize> {
+            self.run(source, options)
+        }
+    }
+
+    impl TraceRun for SampledIngest {
+        fn run_on(
+            &mut self,
+            source: &TraceSource,
+            options: RunOptions<'_>,
+        ) -> std::io::Result<usize> {
+            self.run(source, options)
+        }
+    }
+
+    /// Runs up to `limit` pending units checkpointing to `path`, appending
+    /// every batch's `(completed, total)` to `progress`.
+    fn run_checkpointed(
+        job: &mut impl TraceRun,
+        source: &TraceSource,
+        path: &Path,
+        limit: Option<usize>,
+        progress: &mut Vec<(usize, usize)>,
+    ) -> usize {
+        let mut record = |done, total| progress.push((done, total));
+        let options = RunOptions {
+            limit,
+            checkpoint: Some(path),
+            metrics: None,
+            on_batch: Some(&mut record),
+        };
+        job.run_on(source, options).unwrap()
+    }
 
     fn engine_over(trace: &Trace) -> OnlineReuseEngine {
         let mut engine = OnlineReuseEngine::new();
@@ -3657,11 +3219,7 @@ mod tests {
         let (mut ingest, resumed) = SampledIngest::resume_or_new(&source, 4, 32, 2, &path).unwrap();
         assert!(!resumed);
         let mut progress = Vec::new();
-        ingest
-            .run_with_checkpoint(&source, &path, Some(2), |done, total| {
-                progress.push((done, total));
-            })
-            .unwrap();
+        run_checkpointed(&mut ingest, &source, &path, Some(2), &mut progress);
         assert_eq!(progress, vec![(2, 4)]);
         assert!(!ingest.is_complete());
 
@@ -3669,9 +3227,7 @@ mod tests {
             SampledIngest::resume_or_new(&source, 4, 32, 2, &path).unwrap();
         assert!(resumed);
         assert_eq!(resumed_ingest.completed_count(), 2);
-        resumed_ingest
-            .run_with_checkpoint(&source, &path, None, |_, _| {})
-            .unwrap();
+        run_checkpointed(&mut resumed_ingest, &source, &path, None, &mut Vec::new());
         assert!(resumed_ingest.is_complete());
 
         // A different plan ignores the stale checkpoint.
@@ -3683,8 +3239,7 @@ mod tests {
         let (mut done, _) = SampledIngest::resume_or_new(&source, 4, 32, 2, &path).unwrap();
         assert!(done.is_complete());
         assert_eq!(
-            done.run_with_checkpoint(&source, &path, None, |_, _| {})
-                .unwrap(),
+            run_checkpointed(&mut done, &source, &path, None, &mut Vec::new()),
             0
         );
         std::fs::remove_file(&path).ok();
@@ -3779,11 +3334,11 @@ mod tests {
     #[test]
     fn ingest_is_thread_and_chunk_invariant() {
         let source = TraceSource::Gen(GenSpec::parse("gen:zipf:80:2000:0.9:7").unwrap());
-        let mut reference = TraceIngest::new(&source, 1, 1).unwrap();
+        let mut reference = TraceIngest::new(&source, 1, None, 1).unwrap();
         assert_eq!(reference.run_pending(&source, None), 1);
         let expected = reference.histogram().unwrap().clone();
         for (chunks, threads) in [(4, 1), (4, 3), (9, 2), (16, 8)] {
-            let mut ingest = TraceIngest::new(&source, chunks, threads).unwrap();
+            let mut ingest = TraceIngest::new(&source, chunks, None, threads).unwrap();
             ingest.run_pending(&source, None);
             assert_eq!(
                 *ingest.histogram().unwrap(),
@@ -3798,12 +3353,12 @@ mod tests {
         let source = TraceSource::Gen(GenSpec::parse("gen:zipf:60:1500:0.8:9").unwrap());
 
         // The uninterrupted reference run.
-        let mut reference = TraceIngest::new(&source, 6, 2).unwrap();
+        let mut reference = TraceIngest::new(&source, 6, None, 2).unwrap();
         reference.run_pending(&source, None);
         let reference_json = reference.to_json();
 
         // Run part of the ingest, "die", serialize, resume, finish.
-        let mut interrupted = TraceIngest::new(&source, 6, 2).unwrap();
+        let mut interrupted = TraceIngest::new(&source, 6, None, 2).unwrap();
         assert_eq!(interrupted.run_pending(&source, Some(3)), 3);
         assert!(!interrupted.is_complete());
         assert!(interrupted.histogram().is_none());
@@ -3827,39 +3382,32 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let source = TraceSource::Gen(GenSpec::parse("gen:sawtooth:30:40").unwrap());
 
-        let (mut ingest, resumed) = TraceIngest::resume_or_new(&source, 5, 2, &path).unwrap();
+        let (mut ingest, resumed) = TraceIngest::resume_or_new(&source, 5, None, 2, &path).unwrap();
         assert!(!resumed);
         let mut progress = Vec::new();
-        ingest
-            .run_with_checkpoint(&source, &path, Some(2), |done, total| {
-                progress.push((done, total))
-            })
-            .unwrap();
+        run_checkpointed(&mut ingest, &source, &path, Some(2), &mut progress);
         assert_eq!(progress, vec![(2, 5)]);
         assert!(!ingest.is_complete());
 
         // Resume from disk and finish.
         let (mut resumed_ingest, resumed) =
-            TraceIngest::resume_or_new(&source, 5, 2, &path).unwrap();
+            TraceIngest::resume_or_new(&source, 5, None, 2, &path).unwrap();
         assert!(resumed);
         assert_eq!(resumed_ingest.completed_count(), 2);
-        resumed_ingest
-            .run_with_checkpoint(&source, &path, None, |_, _| {})
-            .unwrap();
+        run_checkpointed(&mut resumed_ingest, &source, &path, None, &mut Vec::new());
         assert!(resumed_ingest.is_complete());
 
         // A different source ignores the stale checkpoint.
         let other = TraceSource::Gen(GenSpec::parse("gen:cyclic:30:40").unwrap());
-        let (fresh, resumed) = TraceIngest::resume_or_new(&other, 5, 2, &path).unwrap();
+        let (fresh, resumed) = TraceIngest::resume_or_new(&other, 5, None, 2, &path).unwrap();
         assert!(!resumed);
         assert_eq!(fresh.completed_count(), 0);
 
         // Complete ingest: nothing pending, checkpoint still rewritten.
-        let (mut done, _) = TraceIngest::resume_or_new(&source, 5, 2, &path).unwrap();
+        let (mut done, _) = TraceIngest::resume_or_new(&source, 5, None, 2, &path).unwrap();
         assert!(done.is_complete());
         assert_eq!(
-            done.run_with_checkpoint(&source, &path, None, |_, _| {})
-                .unwrap(),
+            run_checkpointed(&mut done, &source, &path, None, &mut Vec::new()),
             0
         );
         // And matches the sequential engine.
@@ -3881,15 +3429,13 @@ mod tests {
         std::fs::write(&trace_path, "0\n1\n2\n0\n1\n2\n0\n1\n").unwrap();
         let source = TraceSource::Text(trace_path.clone());
 
-        let (mut ingest, _) = TraceIngest::resume_or_new(&source, 4, 1, &ckpt_path).unwrap();
-        ingest
-            .run_with_checkpoint(&source, &ckpt_path, Some(2), |_, _| {})
-            .unwrap();
+        let (mut ingest, _) = TraceIngest::resume_or_new(&source, 4, None, 1, &ckpt_path).unwrap();
+        run_checkpointed(&mut ingest, &source, &ckpt_path, Some(2), &mut Vec::new());
         assert!(!ingest.is_complete());
 
         // Same path, different (shorter) content: fresh plan, not a resume.
         std::fs::write(&trace_path, "7\n7\n").unwrap();
-        let (fresh, resumed) = TraceIngest::resume_or_new(&source, 4, 1, &ckpt_path).unwrap();
+        let (fresh, resumed) = TraceIngest::resume_or_new(&source, 4, None, 1, &ckpt_path).unwrap();
         assert!(!resumed);
         assert_eq!(fresh.completed_count(), 0);
         assert_eq!(fresh.total_accesses(), 2);
@@ -3900,7 +3446,7 @@ mod tests {
     #[test]
     fn ingest_rejects_corrupted_checkpoints() {
         let source = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:4").unwrap());
-        let mut ingest = TraceIngest::new(&source, 2, 1).unwrap();
+        let mut ingest = TraceIngest::new(&source, 2, None, 1).unwrap();
         ingest.run_pending(&source, Some(1));
         let good = ingest.to_json();
         assert!(TraceIngest::from_json(&good, 1).is_ok());
@@ -3927,7 +3473,7 @@ mod tests {
     fn ingest_refuses_a_mismatched_source() {
         let source = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:4").unwrap());
         let other = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:5").unwrap());
-        let mut ingest = TraceIngest::new(&source, 2, 1).unwrap();
+        let mut ingest = TraceIngest::new(&source, 2, None, 1).unwrap();
         ingest.run_pending(&other, None);
     }
 
@@ -3935,19 +3481,19 @@ mod tests {
     #[should_panic(expected = "at least one chunk")]
     fn ingest_rejects_zero_chunks() {
         let source = TraceSource::Gen(GenSpec::parse("gen:cyclic:4:2").unwrap());
-        let _ = TraceIngest::new(&source, 0, 1);
+        let _ = TraceIngest::new(&source, 0, None, 1);
     }
 
     #[test]
     fn ingest_reports_source_errors() {
         let source = TraceSource::Text(std::path::PathBuf::from("/no/such/trace.txt"));
-        assert!(TraceIngest::new(&source, 2, 1).is_err());
+        assert!(TraceIngest::new(&source, 2, None, 1).is_err());
     }
 
     #[test]
     fn empty_trace_ingests_cleanly() {
         let source = TraceSource::Memory(Trace::new());
-        let mut ingest = TraceIngest::new(&source, 3, 2).unwrap();
+        let mut ingest = TraceIngest::new(&source, 3, None, 2).unwrap();
         ingest.run_pending(&source, None);
         assert!(ingest.is_complete());
         assert_eq!(ingest.histogram().unwrap().accesses(), 0);
@@ -3968,7 +3514,7 @@ mod tests {
         // The counting tap proves the single pass: exactly one observation
         // per access, and the fold agrees.
         assert_eq!(tap.accesses(), addrs.len() as u64);
-        assert_eq!(partial.streamed, addrs.len() as u64);
+        assert_eq!(partial.exact.accesses, addrs.len() as u64);
         // The exact side is exactly what the plain chunk fold produces.
         assert_eq!(partial.exact, chunk_partial(addrs.iter().copied()));
         // Every access routes to exactly one shard — the right one — and
@@ -3990,15 +3536,15 @@ mod tests {
         // histogram byte-identical to TraceIngest and sampled results
         // bit-identical to SampledIngest at the same shard count.
         let source = TraceSource::Gen(GenSpec::parse("gen:zipf:300:5000:0.8:21").unwrap());
-        let mut exact = TraceIngest::new(&source, 6, 2).unwrap();
+        let mut exact = TraceIngest::new(&source, 6, None, 2).unwrap();
         exact.run_pending(&source, None);
         let mut sampled = SampledIngest::new(&source, 3, 16, 2).unwrap();
         sampled.run_pending(&source, None);
 
-        let mut fused = FusedIngest::new(&source, 6, 3, 16, 2).unwrap();
+        let mut fused = TraceIngest::new(&source, 6, plan(3, 16), 2).unwrap();
         fused.run_pending(&source, None);
         assert!(fused.is_complete());
-        assert_eq!(fused.exact_histogram().unwrap(), exact.histogram().unwrap());
+        assert_eq!(fused.histogram().unwrap(), exact.histogram().unwrap());
         assert_eq!(fused.footprint(), exact.footprint());
         assert_eq!(fused.sampled_shard_results(), sampled.shard_results());
         assert_eq!(fused.sampled_summary(), sampled.merged());
@@ -4010,21 +3556,21 @@ mod tests {
     #[test]
     fn fused_ingest_is_thread_and_chunk_invariant() {
         let source = TraceSource::Gen(GenSpec::parse("gen:zipf:200:3000:0.9:31").unwrap());
-        let mut reference = FusedIngest::new(&source, 5, 2, 24, 1).unwrap();
+        let mut reference = TraceIngest::new(&source, 5, plan(2, 24), 1).unwrap();
         reference.run_pending(&source, None);
         let expected = reference.to_json();
         for threads in [2, 3, 8] {
-            let mut fused = FusedIngest::new(&source, 5, 2, 24, threads).unwrap();
+            let mut fused = TraceIngest::new(&source, 5, plan(2, 24), threads).unwrap();
             fused.run_pending(&source, None);
             assert_eq!(fused.to_json(), expected, "threads={threads}");
         }
         // A different chunking changes the plan but not either result.
         for chunks in [1usize, 3, 11] {
-            let mut fused = FusedIngest::new(&source, chunks, 2, 24, 2).unwrap();
+            let mut fused = TraceIngest::new(&source, chunks, plan(2, 24), 2).unwrap();
             fused.run_pending(&source, None);
             assert_eq!(
-                fused.exact_histogram().unwrap(),
-                reference.exact_histogram().unwrap(),
+                fused.histogram().unwrap(),
+                reference.histogram().unwrap(),
                 "chunks={chunks}"
             );
             assert_eq!(
@@ -4040,19 +3586,19 @@ mod tests {
         // Small budgets over a large footprint so thresholds have dropped
         // and shards carry non-trivial tracked sets at the kill point.
         let source = TraceSource::Gen(GenSpec::parse("gen:zipf:300:5000:0.8:41").unwrap());
-        let mut reference = FusedIngest::new(&source, 6, 3, 16, 2).unwrap();
+        let mut reference = TraceIngest::new(&source, 6, plan(3, 16), 2).unwrap();
         reference.run_pending(&source, None);
         let reference_json = reference.to_json();
 
-        let mut interrupted = FusedIngest::new(&source, 6, 3, 16, 2).unwrap();
+        let mut interrupted = TraceIngest::new(&source, 6, plan(3, 16), 2).unwrap();
         assert_eq!(interrupted.run_pending(&source, Some(3)), 3);
         assert!(!interrupted.is_complete());
-        assert!(interrupted.exact_histogram().is_none());
+        assert!(interrupted.histogram().is_none());
         assert!(interrupted.sampled_summary().is_none());
         let checkpoint = interrupted.to_json();
         drop(interrupted);
 
-        let mut resumed = FusedIngest::from_json(&checkpoint, 4).unwrap();
+        let mut resumed = TraceIngest::from_json(&checkpoint, 4).unwrap();
         assert_eq!(resumed.completed_count(), 3);
         // Restoring is lossless: re-serializing the restored state gives
         // the same bytes back.
@@ -4069,41 +3615,37 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let source = TraceSource::Gen(GenSpec::parse("gen:zipf:100:2000:0.7:51").unwrap());
 
-        let (mut fused, resumed) = FusedIngest::resume_or_new(&source, 5, 2, 16, 2, &path).unwrap();
+        let (mut fused, resumed) =
+            TraceIngest::resume_or_new(&source, 5, plan(2, 16), 2, &path).unwrap();
         assert!(!resumed);
         let mut progress = Vec::new();
-        fused
-            .run_with_checkpoint(&source, &path, Some(2), |done, total| {
-                progress.push((done, total));
-            })
-            .unwrap();
+        run_checkpointed(&mut fused, &source, &path, Some(2), &mut progress);
         assert_eq!(progress, vec![(2, 5)]);
         assert!(!fused.is_complete());
 
         let (mut resumed_fused, resumed) =
-            FusedIngest::resume_or_new(&source, 5, 2, 16, 2, &path).unwrap();
+            TraceIngest::resume_or_new(&source, 5, plan(2, 16), 2, &path).unwrap();
         assert!(resumed);
         assert_eq!(resumed_fused.completed_count(), 2);
-        resumed_fused
-            .run_with_checkpoint(&source, &path, None, |_, _| {})
-            .unwrap();
+        run_checkpointed(&mut resumed_fused, &source, &path, None, &mut Vec::new());
         assert!(resumed_fused.is_complete());
 
         // A different sampled plan ignores the stale checkpoint even though
         // the exact plan still matches.
-        let (fresh, resumed) = FusedIngest::resume_or_new(&source, 5, 4, 16, 2, &path).unwrap();
+        let (fresh, resumed) =
+            TraceIngest::resume_or_new(&source, 5, plan(4, 16), 2, &path).unwrap();
         assert!(!resumed);
         assert_eq!(fresh.completed_count(), 0);
-        let (fresh, resumed) = FusedIngest::resume_or_new(&source, 5, 2, 8, 2, &path).unwrap();
+        let (fresh, resumed) =
+            TraceIngest::resume_or_new(&source, 5, plan(2, 8), 2, &path).unwrap();
         assert!(!resumed);
         assert_eq!(fresh.completed_count(), 0);
 
         // Complete ingest: nothing pending, checkpoint still rewritten.
-        let (mut done, _) = FusedIngest::resume_or_new(&source, 5, 2, 16, 2, &path).unwrap();
+        let (mut done, _) = TraceIngest::resume_or_new(&source, 5, plan(2, 16), 2, &path).unwrap();
         assert!(done.is_complete());
         assert_eq!(
-            done.run_with_checkpoint(&source, &path, None, |_, _| {})
-                .unwrap(),
+            run_checkpointed(&mut done, &source, &path, None, &mut Vec::new()),
             0
         );
         std::fs::remove_file(&path).ok();
@@ -4112,27 +3654,27 @@ mod tests {
     #[test]
     fn fused_ingest_rejects_corrupted_checkpoints() {
         let source = TraceSource::Gen(GenSpec::parse("gen:zipf:50:600:0.9:61").unwrap());
-        let mut fused = FusedIngest::new(&source, 3, 2, 8, 1).unwrap();
+        let mut fused = TraceIngest::new(&source, 3, plan(2, 8), 1).unwrap();
         fused.run_pending(&source, Some(1));
         let good = fused.to_json();
-        assert!(FusedIngest::from_json(&good, 1).is_ok());
-        assert!(FusedIngest::from_json("{}", 1).is_err());
-        assert!(FusedIngest::from_json("not json", 1).is_err());
-        assert!(FusedIngest::from_json(&good.replace(FUSED_CHECKPOINT_KIND, "other"), 1).is_err());
+        assert!(TraceIngest::from_json(&good, 1).is_ok());
+        assert!(TraceIngest::from_json("{}", 1).is_err());
+        assert!(TraceIngest::from_json("not json", 1).is_err());
+        assert!(TraceIngest::from_json(&good.replace(FUSED_CHECKPOINT_KIND, "other"), 1).is_err());
         assert!(
-            FusedIngest::from_json(&good.replace("\"version\": 1", "\"version\": 9"), 1).is_err()
+            TraceIngest::from_json(&good.replace("\"version\": 1", "\"version\": 9"), 1).is_err()
         );
-        assert!(FusedIngest::from_json(
+        assert!(TraceIngest::from_json(
             &good.replace("\"next_chunk\": 1", "\"next_chunk\": 99"),
             1
         )
         .is_err());
-        assert!(FusedIngest::from_json(
+        assert!(TraceIngest::from_json(
             &good.replace("\"shard_count\": 2", "\"shard_count\": 5"),
             1
         )
         .is_err());
-        assert!(FusedIngest::from_json(
+        assert!(TraceIngest::from_json(
             &good.replace("\"budget_per_shard\": 8", "\"budget_per_shard\": 0"),
             1
         )
@@ -4140,7 +3682,7 @@ mod tests {
         // Mangled tracked lists are rejected: a duplicated address, and an
         // address that does not belong to its shard's residue class.
         let mangled = good.replace("\"tracked\": [", "\"tracked\": [1, 1, ");
-        assert!(FusedIngest::from_json(&mangled, 1).is_err());
+        assert!(TraceIngest::from_json(&mangled, 1).is_err());
     }
 
     #[test]
@@ -4148,18 +3690,18 @@ mod tests {
     fn fused_ingest_refuses_a_mismatched_source() {
         let source = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:4").unwrap());
         let other = TraceSource::Gen(GenSpec::parse("gen:cyclic:8:5").unwrap());
-        let mut fused = FusedIngest::new(&source, 2, 2, 8, 1).unwrap();
+        let mut fused = TraceIngest::new(&source, 2, plan(2, 8), 1).unwrap();
         fused.run_pending(&other, None);
     }
 
     #[test]
     fn empty_trace_fuses_cleanly() {
         let source = TraceSource::Memory(Trace::new());
-        let mut fused = FusedIngest::new(&source, 3, 2, 8, 2).unwrap();
+        let mut fused = TraceIngest::new(&source, 3, plan(2, 8), 2).unwrap();
         fused.run_pending(&source, None);
         assert!(fused.is_complete());
         assert_eq!(fused.streamed_accesses(), 0);
-        assert_eq!(fused.exact_histogram().unwrap().accesses(), 0);
+        assert_eq!(fused.histogram().unwrap().accesses(), 0);
         assert_eq!(fused.footprint(), 0);
         let summary = fused.sampled_summary().unwrap();
         assert_eq!(summary.raw_accesses, 0);

@@ -6,17 +6,36 @@
 //! This is the load-bearing invariant of the whole job abstraction — unit
 //! plans are deterministic, partials are mergeable in unit order, and the
 //! checkpoint codec is canonical — pinned here across random plans for
-//! [`ShardedSweep`], [`SampledSweep`], [`TraceIngest`], [`SampledIngest`]
-//! and [`FusedIngest`].
+//! [`ShardedSweep`], [`SampledSweep`], [`SampledIngest`] and both
+//! configurations of [`TraceIngest`]: exact-only and fused with a
+//! [`SampledPlan`].
 
 use proptest::prelude::*;
 use symloc_core::engine::SweepSpec;
+use symloc_core::job::{JobRunner, RunOptions};
 use symloc_core::model::CacheModel;
 use symloc_core::obs::MetricsRegistry;
 use symloc_core::shard::{SampledSweep, ShardedSweep};
-use symloc_core::tracesweep::{FusedIngest, SampledIngest, TraceIngest};
+use symloc_core::tracesweep::{SampledIngest, SampledPlan, TraceIngest};
 use symloc_perm::statistics::Statistic;
 use symloc_trace::stream::{GenSpec, TraceSource};
+
+/// Run options for up to `limit` units, metered when `metrics` is given.
+fn options(limit: Option<usize>, metrics: Option<&mut MetricsRegistry>) -> RunOptions<'_> {
+    RunOptions {
+        limit,
+        metrics,
+        ..RunOptions::default()
+    }
+}
+
+/// The fused configuration of [`TraceIngest`].
+fn plan(shard_count: usize, budget_per_shard: usize) -> Option<SampledPlan> {
+    Some(SampledPlan {
+        shard_count,
+        budget_per_shard,
+    })
+}
 
 fn statistic_of(seed: u64) -> Statistic {
     Statistic::ALL[(seed % Statistic::ALL.len() as u64) as usize]
@@ -47,18 +66,18 @@ proptest! {
             model: CacheModel::LruStack,
         };
         let mut reference = ShardedSweep::new(spec, shards, threads);
-        reference.run_pending(None);
+        JobRunner::run(&mut reference, options(None, None)).unwrap();
         let reference_json = reference.to_json();
 
         for kill_at in 0..reference.shard_count() {
             let mut interrupted = ShardedSweep::new(spec, shards, threads);
-            prop_assert_eq!(interrupted.run_pending(Some(kill_at)), kill_at);
+            prop_assert_eq!(JobRunner::run(&mut interrupted, options(Some(kill_at), None)).unwrap(), kill_at);
             let checkpoint = interrupted.to_json();
             // Resume with a *different* thread count: results must not
             // depend on it.
             let mut resumed = ShardedSweep::from_json(&checkpoint, threads % 3 + 1).unwrap();
             prop_assert_eq!(resumed.completed_count(), kill_at);
-            resumed.run_pending(None);
+            JobRunner::run(&mut resumed, options(None, None)).unwrap();
             prop_assert_eq!(
                 &resumed.to_json(),
                 &reference_json,
@@ -81,16 +100,16 @@ proptest! {
             model: CacheModel::LruStack,
         };
         let mut reference = SampledSweep::new(spec, budget, 2, seed, threads);
-        reference.run_pending(None);
+        JobRunner::run(&mut reference, options(None, None)).unwrap();
         let reference_json = reference.to_json();
 
         for kill_at in 0..reference.level_count() {
             let mut interrupted = SampledSweep::new(spec, budget, 2, seed, threads);
-            prop_assert_eq!(interrupted.run_pending(Some(kill_at)), kill_at);
+            prop_assert_eq!(JobRunner::run(&mut interrupted, options(Some(kill_at), None)).unwrap(), kill_at);
             let checkpoint = interrupted.to_json();
             let mut resumed = SampledSweep::from_json(&checkpoint, threads % 3 + 1).unwrap();
             prop_assert_eq!(resumed.completed_count(), kill_at);
-            resumed.run_pending(None);
+            JobRunner::run(&mut resumed, options(None, None)).unwrap();
             prop_assert_eq!(
                 &resumed.to_json(),
                 &reference_json,
@@ -114,12 +133,12 @@ proptest! {
             _ => format!("gen:zipf:{m}:{len}:0.8:{s}", len = m * epochs, s = seed % 1000),
         };
         let source = TraceSource::Gen(GenSpec::parse(&spec).unwrap());
-        let mut reference = TraceIngest::new(&source, chunks, threads).unwrap();
+        let mut reference = TraceIngest::new(&source, chunks, None, threads).unwrap();
         reference.run_pending(&source, None);
         let reference_json = reference.to_json();
 
         for kill_at in 0..reference.chunk_count() {
-            let mut interrupted = TraceIngest::new(&source, chunks, threads).unwrap();
+            let mut interrupted = TraceIngest::new(&source, chunks, None, threads).unwrap();
             prop_assert_eq!(interrupted.run_pending(&source, Some(kill_at)), kill_at);
             let checkpoint = interrupted.to_json();
             let mut resumed = TraceIngest::from_json(&checkpoint, threads % 3 + 1).unwrap();
@@ -183,16 +202,16 @@ proptest! {
         let spec = format!("gen:zipf:{m}:{len}:0.8:{s}", len = m * 8, s = seed % 1000);
         let source = TraceSource::Gen(GenSpec::parse(&spec).unwrap());
         let mut reference =
-            FusedIngest::new(&source, chunks, shard_count, budget, threads).unwrap();
+            TraceIngest::new(&source, chunks, plan(shard_count, budget), threads).unwrap();
         reference.run_pending(&source, None);
         let reference_json = reference.to_json();
 
         for kill_at in 0..reference.chunk_count() {
             let mut interrupted =
-                FusedIngest::new(&source, chunks, shard_count, budget, threads).unwrap();
+                TraceIngest::new(&source, chunks, plan(shard_count, budget), threads).unwrap();
             prop_assert_eq!(interrupted.run_pending(&source, Some(kill_at)), kill_at);
             let checkpoint = interrupted.to_json();
-            let mut resumed = FusedIngest::from_json(&checkpoint, threads % 3 + 1).unwrap();
+            let mut resumed = TraceIngest::from_json(&checkpoint, threads % 3 + 1).unwrap();
             prop_assert_eq!(resumed.completed_count(), kill_at);
             resumed.run_pending(&source, None);
             prop_assert_eq!(
@@ -227,26 +246,26 @@ proptest! {
             model: CacheModel::LruStack,
         };
         let mut reference = ShardedSweep::new(spec, shards, threads);
-        reference.run_pending(None);
+        JobRunner::run(&mut reference, options(None, None)).unwrap();
         let reference_json = reference.to_json();
 
         let mut metered = ShardedSweep::new(spec, shards, threads);
         let mut registry = MetricsRegistry::new();
-        metered.run_pending_metered(None, Some(&mut registry));
+        JobRunner::run(&mut metered, options(None, Some(&mut registry))).unwrap();
         prop_assert_eq!(&metered.to_json(), &reference_json);
         assert_metering_observed(&registry, reference.shard_count() as u64);
 
         for kill_at in 0..reference.shard_count() {
             let mut plain = ShardedSweep::new(spec, shards, threads);
-            plain.run_pending(Some(kill_at));
+            JobRunner::run(&mut plain, options(Some(kill_at), None)).unwrap();
             let mut interrupted = ShardedSweep::new(spec, shards, threads);
             let mut registry = MetricsRegistry::new();
-            interrupted.run_pending_metered(Some(kill_at), Some(&mut registry));
+            JobRunner::run(&mut interrupted, options(Some(kill_at), Some(&mut registry))).unwrap();
             let checkpoint = interrupted.to_json();
             prop_assert_eq!(&checkpoint, &plain.to_json(), "kill at shard {}", kill_at);
             let mut resumed = ShardedSweep::from_json(&checkpoint, threads % 3 + 1).unwrap();
             let mut resume_registry = MetricsRegistry::new();
-            resumed.run_pending_metered(None, Some(&mut resume_registry));
+            JobRunner::run(&mut resumed, options(None, Some(&mut resume_registry))).unwrap();
             prop_assert_eq!(&resumed.to_json(), &reference_json, "kill at shard {}", kill_at);
             assert_metering_observed(
                 &resume_registry,
@@ -268,26 +287,26 @@ proptest! {
             model: CacheModel::LruStack,
         };
         let mut reference = SampledSweep::new(spec, budget, 2, seed, threads);
-        reference.run_pending(None);
+        JobRunner::run(&mut reference, options(None, None)).unwrap();
         let reference_json = reference.to_json();
         let levels = reference.level_count();
 
         let mut metered = SampledSweep::new(spec, budget, 2, seed, threads);
         let mut registry = MetricsRegistry::new();
-        metered.run_pending_metered(None, Some(&mut registry));
+        JobRunner::run(&mut metered, options(None, Some(&mut registry))).unwrap();
         prop_assert_eq!(&metered.to_json(), &reference_json);
         assert_metering_observed(&registry, levels as u64);
 
         let kill_at = levels / 2;
         let mut plain = SampledSweep::new(spec, budget, 2, seed, threads);
-        plain.run_pending(Some(kill_at));
+        JobRunner::run(&mut plain, options(Some(kill_at), None)).unwrap();
         let mut interrupted = SampledSweep::new(spec, budget, 2, seed, threads);
         let mut registry = MetricsRegistry::new();
-        interrupted.run_pending_metered(Some(kill_at), Some(&mut registry));
+        JobRunner::run(&mut interrupted, options(Some(kill_at), Some(&mut registry))).unwrap();
         let checkpoint = interrupted.to_json();
         prop_assert_eq!(&checkpoint, &plain.to_json());
         let mut resumed = SampledSweep::from_json(&checkpoint, threads % 3 + 1).unwrap();
-        resumed.run_pending_metered(None, Some(&mut MetricsRegistry::new()));
+        JobRunner::run(&mut resumed, options(None, Some(&mut MetricsRegistry::new()))).unwrap();
         prop_assert_eq!(&resumed.to_json(), &reference_json);
     }
 
@@ -301,27 +320,27 @@ proptest! {
     ) {
         let spec = format!("gen:zipf:{m}:{len}:0.8:{s}", len = m * epochs, s = seed % 1000);
         let source = TraceSource::Gen(GenSpec::parse(&spec).unwrap());
-        let mut reference = TraceIngest::new(&source, chunks, threads).unwrap();
+        let mut reference = TraceIngest::new(&source, chunks, None, threads).unwrap();
         reference.run_pending(&source, None);
         let reference_json = reference.to_json();
         let total = reference.chunk_count();
 
-        let mut metered = TraceIngest::new(&source, chunks, threads).unwrap();
+        let mut metered = TraceIngest::new(&source, chunks, None, threads).unwrap();
         let mut registry = MetricsRegistry::new();
-        metered.run_pending_metered(&source, None, Some(&mut registry));
+        metered.run(&source, options(None, Some(&mut registry))).unwrap();
         prop_assert_eq!(&metered.to_json(), &reference_json);
         assert_metering_observed(&registry, total as u64);
 
         let kill_at = total / 2;
-        let mut plain = TraceIngest::new(&source, chunks, threads).unwrap();
+        let mut plain = TraceIngest::new(&source, chunks, None, threads).unwrap();
         plain.run_pending(&source, Some(kill_at));
-        let mut interrupted = TraceIngest::new(&source, chunks, threads).unwrap();
+        let mut interrupted = TraceIngest::new(&source, chunks, None, threads).unwrap();
         let mut registry = MetricsRegistry::new();
-        interrupted.run_pending_metered(&source, Some(kill_at), Some(&mut registry));
+        interrupted.run(&source, options(Some(kill_at), Some(&mut registry))).unwrap();
         let checkpoint = interrupted.to_json();
         prop_assert_eq!(&checkpoint, &plain.to_json());
         let mut resumed = TraceIngest::from_json(&checkpoint, threads % 3 + 1).unwrap();
-        resumed.run_pending_metered(&source, None, Some(&mut MetricsRegistry::new()));
+        resumed.run(&source, options(None, Some(&mut MetricsRegistry::new()))).unwrap();
         prop_assert_eq!(&resumed.to_json(), &reference_json);
     }
 
@@ -342,7 +361,7 @@ proptest! {
 
         let mut metered = SampledIngest::new(&source, shard_count, budget, threads).unwrap();
         let mut registry = MetricsRegistry::new();
-        metered.run_pending_metered(&source, None, Some(&mut registry));
+        metered.run(&source, options(None, Some(&mut registry))).unwrap();
         prop_assert_eq!(&metered.to_json(), &reference_json);
         assert_metering_observed(&registry, total as u64);
 
@@ -351,11 +370,11 @@ proptest! {
         plain.run_pending(&source, Some(kill_at));
         let mut interrupted = SampledIngest::new(&source, shard_count, budget, threads).unwrap();
         let mut registry = MetricsRegistry::new();
-        interrupted.run_pending_metered(&source, Some(kill_at), Some(&mut registry));
+        interrupted.run(&source, options(Some(kill_at), Some(&mut registry))).unwrap();
         let checkpoint = interrupted.to_json();
         prop_assert_eq!(&checkpoint, &plain.to_json());
         let mut resumed = SampledIngest::from_json(&checkpoint, threads % 3 + 1).unwrap();
-        resumed.run_pending_metered(&source, None, Some(&mut MetricsRegistry::new()));
+        resumed.run(&source, options(None, Some(&mut MetricsRegistry::new()))).unwrap();
         prop_assert_eq!(&resumed.to_json(), &reference_json);
     }
 
@@ -371,29 +390,29 @@ proptest! {
         let spec = format!("gen:zipf:{m}:{len}:0.8:{s}", len = m * 8, s = seed % 1000);
         let source = TraceSource::Gen(GenSpec::parse(&spec).unwrap());
         let mut reference =
-            FusedIngest::new(&source, chunks, shard_count, budget, threads).unwrap();
+            TraceIngest::new(&source, chunks, plan(shard_count, budget), threads).unwrap();
         reference.run_pending(&source, None);
         let reference_json = reference.to_json();
         let total = reference.chunk_count();
 
         let mut metered =
-            FusedIngest::new(&source, chunks, shard_count, budget, threads).unwrap();
+            TraceIngest::new(&source, chunks, plan(shard_count, budget), threads).unwrap();
         let mut registry = MetricsRegistry::new();
-        metered.run_pending_metered(&source, None, Some(&mut registry));
+        metered.run(&source, options(None, Some(&mut registry))).unwrap();
         prop_assert_eq!(&metered.to_json(), &reference_json);
         assert_metering_observed(&registry, total as u64);
 
         let kill_at = total / 2;
-        let mut plain = FusedIngest::new(&source, chunks, shard_count, budget, threads).unwrap();
+        let mut plain = TraceIngest::new(&source, chunks, plan(shard_count, budget), threads).unwrap();
         plain.run_pending(&source, Some(kill_at));
         let mut interrupted =
-            FusedIngest::new(&source, chunks, shard_count, budget, threads).unwrap();
+            TraceIngest::new(&source, chunks, plan(shard_count, budget), threads).unwrap();
         let mut registry = MetricsRegistry::new();
-        interrupted.run_pending_metered(&source, Some(kill_at), Some(&mut registry));
+        interrupted.run(&source, options(Some(kill_at), Some(&mut registry))).unwrap();
         let checkpoint = interrupted.to_json();
         prop_assert_eq!(&checkpoint, &plain.to_json());
-        let mut resumed = FusedIngest::from_json(&checkpoint, threads % 3 + 1).unwrap();
-        resumed.run_pending_metered(&source, None, Some(&mut MetricsRegistry::new()));
+        let mut resumed = TraceIngest::from_json(&checkpoint, threads % 3 + 1).unwrap();
+        resumed.run(&source, options(None, Some(&mut MetricsRegistry::new()))).unwrap();
         prop_assert_eq!(&resumed.to_json(), &reference_json);
     }
 }

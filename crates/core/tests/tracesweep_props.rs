@@ -10,14 +10,15 @@
 //! 3. The SHARDS sampled estimator against the exact engine: *equal* when
 //!    the budget covers the footprint at full rate, and within a stated
 //!    error bound when the budget binds.
-//! 4. The fused single-pass ingest against the two separate pipelines:
-//!    exact side byte-identical to [`TraceIngest`], sampled side
+//! 4. The fused single-pass ingest ([`TraceIngest`] with a
+//!    [`SampledPlan`]) against the two separate pipelines: exact side
+//!    byte-identical to the exact-only [`TraceIngest`], sampled side
 //!    bit-identical to [`SampledIngest`], across every pattern × shard
 //!    count × thread count.
 
 use proptest::prelude::*;
 use symloc_core::tracesweep::{
-    chunk_partial, log_spaced_sizes, FusedIngest, MergeState, OnlineReuseEngine, SampledIngest,
+    chunk_partial, log_spaced_sizes, MergeState, OnlineReuseEngine, SampledIngest, SampledPlan,
     ShardsEstimator, StreamHistogram, TraceIngest, SHARDS_MODULUS,
 };
 use symloc_trace::generators::{
@@ -227,14 +228,19 @@ proptest! {
         // single-pass counter proves each access streamed exactly once.
         for (name, trace) in all_generator_patterns(seed) {
             let source = TraceSource::Memory(trace);
-            let mut exact = TraceIngest::new(&source, 4, threads).unwrap();
+            let mut exact = TraceIngest::new(&source, 4, None, threads).unwrap();
             exact.run_pending(&source, None);
             let mut sampled = SampledIngest::new(&source, shard_count, 32, threads).unwrap();
             sampled.run_pending(&source, None);
-            let mut fused = FusedIngest::new(&source, 4, shard_count, 32, threads).unwrap();
+            let mut fused = TraceIngest::new(
+                &source,
+                4,
+                Some(SampledPlan { shard_count, budget_per_shard: 32 }),
+                threads,
+            ).unwrap();
             fused.run_pending(&source, None);
             prop_assert_eq!(
-                fused.exact_histogram().unwrap(),
+                fused.histogram().unwrap(),
                 exact.histogram().unwrap(),
                 "{} seed {} shards {} threads {}",
                 name, seed, shard_count, threads
@@ -307,12 +313,12 @@ proptest! {
             std::fs::remove_file(&sidecar).ok();
             write_sltr(&trace, &path).unwrap();
             let source = TraceSource::Binary(path.clone());
-            let mut plain = TraceIngest::new(&source, chunks, 2).unwrap();
+            let mut plain = TraceIngest::new(&source, chunks, None, 2).unwrap();
             plain.run_pending(&source, None);
             let expected = plain.to_json();
             // Indexed run of the same payload.
             write_sltr_indexed(&trace, &path, interval).unwrap();
-            let mut indexed = TraceIngest::new(&source, chunks, 2).unwrap();
+            let mut indexed = TraceIngest::new(&source, chunks, None, 2).unwrap();
             indexed.run_pending(&source, None);
             prop_assert_eq!(
                 indexed.to_json(),
@@ -429,7 +435,7 @@ proptest! {
         for (name, trace) in all_generator_patterns(seed) {
             let addrs: Vec<u64> = trace.iter().map(|a| a.value() as u64).collect();
             let source = TraceSource::Memory(trace);
-            let mut full = TraceIngest::new(&source, chunks, 1).unwrap();
+            let mut full = TraceIngest::new(&source, chunks, None, 1).unwrap();
             full.run_pending(&source, None);
             let expected = full.to_json();
             let chunk_count = full.chunk_count();
@@ -446,7 +452,7 @@ proptest! {
 
             // Today's engine, stopped at the same chunk, serializes the
             // exact bytes the seed-era engine wrote.
-            let mut mid = TraceIngest::new(&source, chunks, 1).unwrap();
+            let mut mid = TraceIngest::new(&source, chunks, None, 1).unwrap();
             mid.run_pending(&source, Some(done));
             prop_assert_eq!(
                 mid.to_json(),

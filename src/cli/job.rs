@@ -9,10 +9,10 @@ use super::CliError;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use symloc_core::job::{checkpoint_status, Heartbeat, JobKind, JobStatus};
+use symloc_core::job::{checkpoint_status, Heartbeat, JobKind, JobRunner, JobStatus, RunOptions};
 use symloc_core::obs::MetricsRegistry;
 use symloc_core::shard::{SampledSweep, ShardedSweep};
-use symloc_core::tracesweep::{log_spaced_sizes, FusedIngest, SampledIngest, TraceIngest};
+use symloc_core::tracesweep::{log_spaced_sizes, SampledIngest, TraceIngest};
 use symloc_par::default_threads;
 use symloc_trace::stream::TraceSource;
 
@@ -292,6 +292,14 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
         ))
     })?;
     let ckpt_err = |e: std::io::Error| CliError(format!("cannot write checkpoint {path_str}: {e}"));
+    // Every kind resumes through the one run entry point, checkpointing
+    // to the same file and metered into the report's registry.
+    let run_options = |registry| RunOptions {
+        limit,
+        checkpoint: Some(path),
+        metrics: Some(registry),
+        on_batch: None,
+    };
 
     let mut out = String::new();
     let banner = |out: &mut String, fingerprint: &str, completed: usize, total: usize| {
@@ -311,9 +319,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
                 sweep.completed_count(),
                 sweep.shard_count(),
             );
-            let ran = sweep
-                .run_with_checkpoint_metered(path, limit, Some(&mut registry), |_, _| {})
-                .map_err(ckpt_err)?;
+            let ran = JobRunner::run(&mut sweep, run_options(&mut registry)).map_err(ckpt_err)?;
             if json {
                 write_metrics(metrics_path, &registry)?;
                 return Ok(resume_json(
@@ -347,9 +353,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
                 sweep.completed_count(),
                 sweep.level_count(),
             );
-            let ran = sweep
-                .run_with_checkpoint_metered(path, limit, Some(&mut registry), |_, _| {})
-                .map_err(ckpt_err)?;
+            let ran = JobRunner::run(&mut sweep, run_options(&mut registry)).map_err(ckpt_err)?;
             if json {
                 write_metrics(metrics_path, &registry)?;
                 return Ok(resume_json(
@@ -375,7 +379,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
                 }
             }
         }
-        JobKind::TraceIngest => {
+        JobKind::TraceIngest | JobKind::FusedIngest => {
             let mut ingest = TraceIngest::from_json(&text, threads).map_err(CliError)?;
             banner(
                 &mut out,
@@ -385,18 +389,48 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
             );
             let source = reopen_source(ingest.fingerprint(), ingest.total_accesses())?;
             let ran = ingest
-                .run_with_checkpoint_metered(&source, path, limit, Some(&mut registry), |_, _| {})
+                .run(&source, run_options(&mut registry))
                 .map_err(ckpt_err)?;
+            let fused = ingest.sampled_plan().is_some();
+            let finished = ingest.histogram().map(|h| {
+                let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
+                let points = h.mrc_points(&log_spaced_sizes(footprint, 16));
+                (h.accesses(), footprint, points)
+            });
+            let sampled = ingest.sampled_summary().map(|summary| {
+                let est = summary.estimated_footprint().round().max(1.0) as usize;
+                let points = summary.histogram.mrc_points(&log_spaced_sizes(est, 16));
+                (summary.min_rate, est, points)
+            });
             if json {
                 let mut extra = Vec::new();
-                if let Some(h) = ingest.histogram() {
-                    let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
-                    extra.push(("accesses", h.accesses().to_string()));
-                    extra.push(("footprint", footprint.to_string()));
-                    extra.push((
-                        "mrc",
-                        mrc_array(&h.mrc_points(&log_spaced_sizes(footprint, 16))),
-                    ));
+                if fused {
+                    extra.push(("streamed", ingest.streamed_accesses().to_string()));
+                }
+                if let Some((accesses, footprint, points)) = &finished {
+                    extra.push(("accesses", accesses.to_string()));
+                    match &sampled {
+                        None => {
+                            extra.push(("footprint", footprint.to_string()));
+                            extra.push(("mrc", mrc_array(points)));
+                        }
+                        Some((min_rate, est, sampled_points)) => {
+                            extra.push((
+                                "exact",
+                                format!(
+                                    "{{\"footprint\": {footprint}, \"mrc\": {}}}",
+                                    mrc_array(points)
+                                ),
+                            ));
+                            extra.push((
+                                "sampled",
+                                format!(
+                                    "{{\"footprint\": {est}, \"min_rate\": {min_rate}, \"mrc\": {}}}",
+                                    mrc_array(sampled_points)
+                                ),
+                            ));
+                        }
+                    }
                 }
                 write_metrics(metrics_path, &registry)?;
                 return Ok(resume_json(
@@ -415,15 +449,27 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
                 ingest.completed_count(),
                 ingest.chunk_count()
             );
-            match ingest.histogram() {
-                Some(h) => {
-                    let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
-                    let _ = writeln!(out, "accesses            : {}", h.accesses());
+            match (finished, sampled) {
+                (Some((accesses, footprint, points)), None) => {
+                    let _ = writeln!(out, "accesses            : {accesses}");
                     let _ = writeln!(out, "footprint           : {footprint}");
-                    out.push_str(&mrc_table(&h.mrc_points(&log_spaced_sizes(footprint, 16))));
+                    out.push_str(&mrc_table(&points));
                 }
-                None => {
-                    let _ = writeln!(out, "ingest incomplete — re-run to continue");
+                (Some((accesses, footprint, points)), Some((_, est, sampled_points))) => {
+                    let _ = writeln!(out, "accesses            : {accesses}");
+                    let _ = writeln!(
+                        out,
+                        "streamed            : {} (each access decoded once)",
+                        ingest.streamed_accesses()
+                    );
+                    let _ = writeln!(out, "exact footprint     : {footprint}");
+                    out.push_str(&mrc_table(&points));
+                    let _ = writeln!(out, "sampled footprint   : ~{est} (estimated)");
+                    out.push_str(&mrc_table(&sampled_points));
+                }
+                _ => {
+                    let what = if fused { "fused ingest" } else { "ingest" };
+                    let _ = writeln!(out, "{what} incomplete — re-run to continue");
                 }
             }
         }
@@ -437,7 +483,7 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
             );
             let source = reopen_source(ingest.fingerprint(), ingest.total_accesses())?;
             let ran = ingest
-                .run_with_checkpoint_metered(&source, path, limit, Some(&mut registry), |_, _| {})
+                .run(&source, run_options(&mut registry))
                 .map_err(ckpt_err)?;
             if json {
                 let mut extra = Vec::new();
@@ -484,81 +530,6 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
                 }
                 None => {
                     let _ = writeln!(out, "sampled ingest incomplete — re-run to continue");
-                }
-            }
-        }
-        JobKind::FusedIngest => {
-            let mut ingest = FusedIngest::from_json(&text, threads).map_err(CliError)?;
-            banner(
-                &mut out,
-                ingest.fingerprint(),
-                ingest.completed_count(),
-                ingest.chunk_count(),
-            );
-            let source = reopen_source(ingest.fingerprint(), ingest.total_accesses())?;
-            let ran = ingest
-                .run_with_checkpoint_metered(&source, path, limit, Some(&mut registry), |_, _| {})
-                .map_err(ckpt_err)?;
-            if json {
-                let mut extra = vec![("streamed", ingest.streamed_accesses().to_string())];
-                if let (Some(h), Some(summary)) =
-                    (ingest.exact_histogram(), ingest.sampled_summary())
-                {
-                    let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
-                    let est = summary.estimated_footprint().round().max(1.0) as usize;
-                    extra.push(("accesses", h.accesses().to_string()));
-                    extra.push((
-                        "exact",
-                        format!(
-                            "{{\"footprint\": {footprint}, \"mrc\": {}}}",
-                            mrc_array(&h.mrc_points(&log_spaced_sizes(footprint, 16)))
-                        ),
-                    ));
-                    extra.push((
-                        "sampled",
-                        format!(
-                            "{{\"footprint\": {est}, \"min_rate\": {}, \"mrc\": {}}}",
-                            summary.min_rate,
-                            mrc_array(&summary.histogram.mrc_points(&log_spaced_sizes(est, 16)))
-                        ),
-                    ));
-                }
-                write_metrics(metrics_path, &registry)?;
-                return Ok(resume_json(
-                    kind,
-                    ingest.fingerprint(),
-                    ran,
-                    ingest.completed_count(),
-                    ingest.chunk_count(),
-                    &extra,
-                    &registry,
-                ));
-            }
-            let _ = writeln!(
-                out,
-                "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {path_str}",
-                ingest.completed_count(),
-                ingest.chunk_count()
-            );
-            match (ingest.exact_histogram(), ingest.sampled_summary()) {
-                (Some(h), Some(summary)) => {
-                    let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
-                    let est = summary.estimated_footprint().round().max(1.0) as usize;
-                    let _ = writeln!(out, "accesses            : {}", h.accesses());
-                    let _ = writeln!(
-                        out,
-                        "streamed            : {} (each access decoded once)",
-                        ingest.streamed_accesses()
-                    );
-                    let _ = writeln!(out, "exact footprint     : {footprint}");
-                    out.push_str(&mrc_table(&h.mrc_points(&log_spaced_sizes(footprint, 16))));
-                    let _ = writeln!(out, "sampled footprint   : ~{est} (estimated)");
-                    out.push_str(&mrc_table(
-                        &summary.histogram.mrc_points(&log_spaced_sizes(est, 16)),
-                    ));
-                }
-                _ => {
-                    let _ = writeln!(out, "fused ingest incomplete — re-run to continue");
                 }
             }
         }

@@ -432,7 +432,9 @@ fn run_stdin_session(daemon: &Mutex<Daemon>, reader: impl BufRead) -> Result<Str
 }
 
 /// One TCP connection: line in, response line out, until QUIT/EOF/
-/// shutdown. Read timeouts keep the thread polling the shutdown flag.
+/// shutdown. Read timeouts keep the thread polling the shutdown flag; the
+/// bytes of a line that straddles a timeout stay buffered until its
+/// newline arrives, so a slow client's line is never split in two.
 fn run_tcp_session(daemon: &Arc<Mutex<Daemon>>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
     let mut writer = match stream.try_clone() {
@@ -441,14 +443,17 @@ fn run_tcp_session(daemon: &Arc<Mutex<Daemon>>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(stream);
     let mut session = Session::new();
-    let mut line = String::new();
+    let mut line = Vec::new();
     while !SHUTDOWN.load(Ordering::SeqCst) {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF
+        match reader.read_until(b'\n', &mut line) {
+            Ok(_) if line.is_empty() => break, // EOF
             Ok(_) => {
-                let trimmed = line.trim_end_matches('\n');
-                match handle_line(daemon, &mut session, trimmed) {
+                let action = match std::str::from_utf8(&line) {
+                    Ok(text) => handle_line(daemon, &mut session, text.trim_end_matches('\n')),
+                    Err(_) => Action::Reply(err_line("line is not valid UTF-8")),
+                };
+                line.clear();
+                match action {
                     Action::Silent => {}
                     Action::Reply(reply) => {
                         if writeln!(writer, "{reply}")

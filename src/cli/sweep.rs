@@ -9,6 +9,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use symloc_core::engine::{SweepEngine, SweepLevel, SweepSpec};
+use symloc_core::job::{JobRunner, RunOptions};
 use symloc_core::model::CacheModel;
 use symloc_core::obs::{MetricsRegistry, Span};
 use symloc_core::shard::{SampledSweep, ShardedSweep};
@@ -243,6 +244,14 @@ pub fn sweep(args: &[String]) -> Result<String, CliError> {
     let spec = options.spec;
     let engine = SweepEngine::with_threads(spec.m, options.threads);
     let mut registry = MetricsRegistry::new();
+    // A checkpointed sweep runs through the one job entry point, bounded by
+    // --max-shards and metered into the report's registry.
+    let run_options = |path, registry| RunOptions {
+        limit: options.max_shards,
+        checkpoint: Some(path),
+        metrics: Some(registry),
+        on_batch: None,
+    };
 
     if let Some(budget) = options.samples {
         let weights = match spec.statistic {
@@ -265,13 +274,7 @@ pub fn sweep(args: &[String]) -> Result<String, CliError> {
                     .map_err(CliError)?;
             let already = sampled.completed_count();
             let stale_on_disk = !resumed && path.exists();
-            let ran = sampled
-                .run_with_checkpoint_metered(
-                    path,
-                    options.max_shards,
-                    Some(&mut registry),
-                    |_, _| {},
-                )
+            let ran = JobRunner::run(&mut sampled, run_options(path, &mut registry))
                 .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
             write_metrics(options.metrics.as_deref(), &registry)?;
             if options.json {
@@ -358,8 +361,7 @@ pub fn sweep(args: &[String]) -> Result<String, CliError> {
             .map_err(CliError)?;
     let already = sharded.completed_count();
     let stale_on_disk = !resumed && path.exists();
-    let ran = sharded
-        .run_with_checkpoint_metered(path, options.max_shards, Some(&mut registry), |_, _| {})
+    let ran = JobRunner::run(&mut sharded, run_options(path, &mut registry))
         .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
     write_metrics(options.metrics.as_deref(), &registry)?;
     if options.json {

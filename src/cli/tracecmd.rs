@@ -9,10 +9,11 @@ use super::{help_requested, CliError};
 use std::fmt::Write as _;
 use std::path::Path;
 
+use symloc_core::job::RunOptions;
 use symloc_core::obs::{MetricsRegistry, Span};
 use symloc_core::tracesweep::{
-    log_spaced_sizes, FusedIngest, MrcPoint, OnlineReuseEngine, SampledIngest, ShardsEstimator,
-    TraceIngest,
+    log_spaced_sizes, MrcPoint, OnlineReuseEngine, SampledIngest, SampledPlan, ShardsEstimator,
+    StreamHistogram, TraceIngest,
 };
 use symloc_par::default_threads;
 use symloc_trace::binio::{
@@ -335,376 +336,365 @@ pub fn trace_mrc(args: &[String]) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(out, "trace mrc — {source}");
 
-    if options.fused {
-        return trace_mrc_fused(&options, out, &mut registry);
-    }
-
-    if let Some(s_max) = options.sample {
+    match options.sample {
         // Hash-sharded (and optionally checkpoint-resumable) parallel
         // sampling; one hash shard without a checkpoint degenerates to the
         // classic single-pass sequential estimator below.
-        if options.checkpoint.is_some() || options.sample_shards > 1 {
-            let shard_count = options.sample_shards;
-            let budget = (s_max / shard_count).max(1);
-            let summary = if let Some(checkpoint) = &options.checkpoint {
-                let path = Path::new(checkpoint);
-                let (mut ingest, resumed) = SampledIngest::resume_or_new(
-                    source,
-                    shard_count,
-                    budget,
-                    options.threads,
-                    path,
-                )
-                .map_err(CliError)?;
-                if resumed {
-                    let _ = writeln!(
-                        out,
-                        "resumed from {checkpoint}: {} of {} hash shards were already done",
-                        ingest.completed_count(),
-                        ingest.shard_count()
-                    );
-                } else if path.exists() {
-                    let _ = writeln!(
-                        out,
-                        "warning: existing checkpoint {checkpoint} does not match this \
-                         source/plan (source {source}, {} accesses, {} hash shards); \
-                         starting fresh and overwriting it",
-                        ingest.total_accesses(),
-                        ingest.shard_count()
-                    );
-                }
-                let ran = ingest
-                    .run_with_checkpoint_metered(
-                        source,
-                        path,
-                        options.max_chunks,
-                        Some(&mut registry),
-                        |_, _| {},
-                    )
-                    .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
-                write_metrics(options.metrics.as_deref(), &registry)?;
-                let _ = writeln!(
-                    out,
-                    "ran {ran} hash shard(s); {} of {} complete; checkpoint saved to {checkpoint}",
-                    ingest.completed_count(),
-                    ingest.shard_count()
-                );
-                match ingest.merged() {
-                    Some(summary) => summary,
-                    None => {
-                        if options.json {
-                            return Ok(mrc_progress_json(
-                                source,
-                                ingest.completed_count(),
-                                ingest.shard_count(),
-                                &registry,
-                            ));
-                        }
-                        let _ = writeln!(
-                            out,
-                            "sampled ingest incomplete — re-run the same command to \
-                             continue from the checkpoint"
-                        );
-                        return Ok(out);
-                    }
-                }
-            } else {
-                let mut ingest = SampledIngest::new(source, shard_count, budget, options.threads)
-                    .map_err(CliError)?;
-                let span = Span::start();
-                ingest.run_pending(source, None);
-                registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-                span.record(&mut registry, "trace.total_nanos");
-                write_metrics(options.metrics.as_deref(), &registry)?;
-                ingest.merged().expect("sampled ingest ran to completion")
-            };
-            let footprint = summary.estimated_footprint().round().max(1.0) as usize;
+        Some(s_max)
+            if !options.fused && (options.checkpoint.is_some() || options.sample_shards > 1) =>
+        {
+            trace_mrc_hash_sharded(&options, out, &mut registry, s_max)
+        }
+        Some(s_max) if !options.fused => {
+            // The bounded-memory sampled estimator: one sequential pass.
+            let mut estimator = ShardsEstimator::new(s_max);
+            let span = Span::start();
+            estimator.record_all(validated_stream(source)?);
+            registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
+            span.record(&mut registry, "trace.total_nanos");
+            estimator.record_gauges(&mut registry);
+            write_metrics(options.metrics.as_deref(), &registry)?;
+            let footprint = estimator.estimated_footprint().round().max(1.0) as usize;
             let sizes = log_spaced_sizes(footprint, options.points);
-            let points = summary.histogram.mrc_points(&sizes);
+            let points = estimator.mrc_points(&sizes);
             if options.json {
                 return Ok(mrc_json(
                     source,
-                    "sampled_hash_sharded",
-                    summary.raw_accesses,
+                    "sampled",
+                    estimator.raw_accesses(),
                     footprint,
                     true,
                     &points,
                     &registry,
                 ));
             }
-            let _ = writeln!(out, "accesses            : {}", summary.raw_accesses);
+            let _ = writeln!(out, "accesses            : {}", estimator.raw_accesses());
             let _ = writeln!(
                 out,
-                "engine              : sampled hash-sharded ({shard_count} shards x {budget} \
-                 budget, min rate {:.4}, {} sampled, {} evictions, {} threads)",
-                summary.min_rate, summary.sampled_accesses, summary.evictions, options.threads
+                "engine              : sampled (s_max {s_max}, rate {:.4}, {} sampled, {} evictions)",
+                estimator.sampling_rate(),
+                estimator.sampled_accesses(),
+                estimator.evictions()
             );
             let _ = writeln!(out, "footprint           : ~{footprint} (estimated)");
             out.push_str(&mrc_table(&points));
-            return Ok(out);
+            Ok(out)
         }
-
-        // The bounded-memory sampled estimator: one sequential pass.
-        let mut estimator = ShardsEstimator::new(s_max);
-        let span = Span::start();
-        estimator.record_all(validated_stream(source)?);
-        registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-        span.record(&mut registry, "trace.total_nanos");
-        estimator.record_gauges(&mut registry);
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        let footprint = estimator.estimated_footprint().round().max(1.0) as usize;
-        let sizes = log_spaced_sizes(footprint, options.points);
-        let points = estimator.mrc_points(&sizes);
-        if options.json {
-            return Ok(mrc_json(
-                source,
-                "sampled",
-                estimator.raw_accesses(),
-                footprint,
-                true,
-                &points,
-                &registry,
-            ));
-        }
-        let _ = writeln!(out, "accesses            : {}", estimator.raw_accesses());
-        let _ = writeln!(
-            out,
-            "engine              : sampled (s_max {s_max}, rate {:.4}, {} sampled, {} evictions)",
-            estimator.sampling_rate(),
-            estimator.sampled_accesses(),
-            estimator.evictions()
-        );
-        let _ = writeln!(out, "footprint           : ~{footprint} (estimated)");
-        out.push_str(&mrc_table(&points));
-        return Ok(out);
-    }
-
-    let mut engine_name = "exact_streaming";
-    let histogram = if let Some(checkpoint) = &options.checkpoint {
-        let path = Path::new(checkpoint);
-        let (mut ingest, resumed) =
-            TraceIngest::resume_or_new(source, options.shards, options.threads, path)
-                .map_err(CliError)?;
-        if resumed {
-            let _ = writeln!(
-                out,
-                "resumed from {checkpoint}: {} of {} chunks were already done",
-                ingest.completed_count(),
-                ingest.chunk_count()
-            );
-        } else if path.exists() {
-            // A checkpoint is on disk but did not match this source, access
-            // count or chunk plan — say so before overwriting it, so a
-            // mistyped --shards or path does not silently discard progress.
-            let _ = writeln!(
-                out,
-                "warning: existing checkpoint {checkpoint} does not match this \
-                 source/plan (source {source}, {} accesses, {} chunks); starting \
-                 fresh and overwriting it",
-                ingest.total_accesses(),
-                ingest.chunk_count()
-            );
-        }
-        let ran = ingest
-            .run_with_checkpoint_metered(
-                source,
-                path,
-                options.max_chunks,
-                Some(&mut registry),
-                |_, _| {},
-            )
-            .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        let _ = writeln!(
-            out,
-            "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {checkpoint}",
-            ingest.completed_count(),
-            ingest.chunk_count()
-        );
-        match ingest.histogram() {
-            Some(h) => {
-                engine_name = "exact_sharded";
-                let _ = writeln!(out, "accesses            : {}", h.accesses());
-                let _ = writeln!(
-                    out,
-                    "engine              : exact sharded ({} chunks, {} threads)",
-                    ingest.chunk_count(),
-                    options.threads
-                );
-                h.clone()
-            }
-            None => {
-                if options.json {
-                    return Ok(mrc_progress_json(
-                        source,
-                        ingest.completed_count(),
-                        ingest.chunk_count(),
-                        &registry,
-                    ));
+        None if options.checkpoint.is_none() && options.threads <= 1 => {
+            // The single-threaded exact path runs through a `MeteredSink`,
+            // so decode time (pulling blocks off the source) and compute
+            // time (the engine's Fenwick work) are split — delivery to the
+            // engine is unchanged, so the curve is byte-identical to the
+            // unmetered loop.
+            let mut sink = MeteredSink::new(OnlineReuseEngine::new());
+            let mut blocks = validated_block_stream(source)?;
+            let mut buf = Vec::new();
+            loop {
+                let decode = Span::start();
+                let n = blocks.next_block(&mut buf);
+                sink.add_decode_nanos(decode.elapsed_nanos());
+                if n == 0 {
+                    break;
                 }
-                let _ = writeln!(
-                    out,
-                    "ingest incomplete — re-run the same command to continue from the checkpoint"
-                );
-                return Ok(out);
+                sink.on_block(&buf);
             }
+            registry.add("trace.accesses", sink.accesses());
+            registry.add("trace.blocks", sink.blocks());
+            registry.add("trace.decode_nanos", sink.decode_nanos());
+            registry.add("trace.compute_nanos", sink.compute_nanos());
+            let engine = sink.into_inner();
+            engine.record_gauges(&mut registry);
+            write_metrics(options.metrics.as_deref(), &registry)?;
+            let _ = writeln!(out, "accesses            : {}", engine.accesses());
+            let _ = writeln!(out, "engine              : exact streaming (1 thread)");
+            let histogram = engine.into_histogram();
+            Ok(exact_report(
+                &options,
+                out,
+                "exact_streaming",
+                &histogram,
+                &registry,
+            ))
         }
-    } else if options.threads > 1 {
-        let mut ingest =
-            TraceIngest::new(source, options.shards, options.threads).map_err(CliError)?;
-        let span = Span::start();
-        ingest.run_pending(source, None);
-        registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-        span.record(&mut registry, "trace.total_nanos");
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        let h = ingest
-            .histogram()
-            .expect("ingest ran to completion")
-            .clone();
-        engine_name = "exact_sharded";
-        let _ = writeln!(out, "accesses            : {}", h.accesses());
+        _ => trace_mrc_chunked(&options, out, &mut registry),
+    }
+}
+
+/// Runs a resumable trace job through its one run entry point: bounded by
+/// `--max-chunks`, saving to `--checkpoint` after every batch when one is
+/// given, and always metered into `registry` (plus `trace.total_nanos`),
+/// whose snapshot then goes to `--metrics`. Returns the units run.
+fn run_trace_job(
+    options: &TraceMrcOptions,
+    registry: &mut MetricsRegistry,
+    run: impl FnOnce(RunOptions<'_>) -> std::io::Result<usize>,
+) -> Result<usize, CliError> {
+    let span = Span::start();
+    let ran = run(RunOptions {
+        limit: options.max_chunks,
+        checkpoint: options.checkpoint.as_deref().map(Path::new),
+        metrics: Some(&mut *registry),
+        on_batch: None,
+    })
+    .map_err(|e| {
+        let checkpoint = options.checkpoint.as_deref().unwrap_or_default();
+        CliError(format!("cannot write checkpoint {checkpoint}: {e}"))
+    })?;
+    span.record(registry, "trace.total_nanos");
+    write_metrics(options.metrics.as_deref(), registry)?;
+    Ok(ran)
+}
+
+/// The checkpoint lines before a resumable run: the resume banner, or a
+/// warning that a checkpoint on disk did not match this source, access
+/// count or `plan` — so a mistyped `--shards` or path never silently
+/// discards progress. Nothing without `--checkpoint`.
+fn note_resume(
+    out: &mut String,
+    options: &TraceMrcOptions,
+    resumed: bool,
+    (done, total): (usize, usize),
+    units: &str,
+    plan: &str,
+) {
+    let Some(checkpoint) = &options.checkpoint else {
+        return;
+    };
+    if resumed {
+        let _ = writeln!(
+            out,
+            "resumed from {checkpoint}: {done} of {total} {units} were already done"
+        );
+    } else if Path::new(checkpoint).exists() {
+        let _ = writeln!(
+            out,
+            "warning: existing checkpoint {checkpoint} does not match this \
+             source/plan (source {}, {plan}); starting fresh and overwriting it",
+            options.source
+        );
+    }
+}
+
+/// The checkpoint line after a resumable run (nothing without
+/// `--checkpoint`).
+fn note_ran(
+    out: &mut String,
+    options: &TraceMrcOptions,
+    ran: usize,
+    (done, total): (usize, usize),
+    unit: &str,
+) {
+    if let Some(checkpoint) = &options.checkpoint {
+        let _ = writeln!(
+            out,
+            "ran {ran} {unit}(s); {done} of {total} complete; checkpoint saved to {checkpoint}"
+        );
+    }
+}
+
+/// The report of a checkpointed run that stopped before completing: the
+/// JSON progress document, or a note that re-running continues the `what`.
+fn incomplete_report(
+    options: &TraceMrcOptions,
+    mut out: String,
+    (done, total): (usize, usize),
+    what: &str,
+    registry: &MetricsRegistry,
+) -> String {
+    if options.json {
+        return mrc_progress_json(&options.source, done, total, registry);
+    }
+    let _ = writeln!(
+        out,
+        "{what} incomplete — re-run the same command to continue from the checkpoint"
+    );
+    out
+}
+
+/// The footprint line and MRC table (or JSON document) of a finished exact
+/// analysis.
+fn exact_report(
+    options: &TraceMrcOptions,
+    mut out: String,
+    engine: &str,
+    histogram: &StreamHistogram,
+    registry: &MetricsRegistry,
+) -> String {
+    let footprint = usize::try_from(histogram.cold_count()).unwrap_or(usize::MAX);
+    let points = histogram.mrc_points(&log_spaced_sizes(footprint, options.points));
+    if options.json {
+        return mrc_json(
+            &options.source,
+            engine,
+            histogram.accesses(),
+            footprint,
+            false,
+            &points,
+            registry,
+        );
+    }
+    let _ = writeln!(out, "footprint           : {footprint}");
+    out.push_str(&mrc_table(&points));
+    out
+}
+
+/// The hash-sharded sampled path of [`trace_mrc`]: a [`SampledIngest`]
+/// over `--shards` hash shards sharing the `s_max` budget, optionally
+/// checkpoint-resumable.
+fn trace_mrc_hash_sharded(
+    options: &TraceMrcOptions,
+    mut out: String,
+    registry: &mut MetricsRegistry,
+    s_max: usize,
+) -> Result<String, CliError> {
+    let source = &options.source;
+    let shard_count = options.sample_shards;
+    let budget = (s_max / shard_count).max(1);
+    let (mut ingest, resumed) = match &options.checkpoint {
+        Some(checkpoint) => SampledIngest::resume_or_new(
+            source,
+            shard_count,
+            budget,
+            options.threads,
+            Path::new(checkpoint),
+        )
+        .map_err(CliError)?,
+        None => (
+            SampledIngest::new(source, shard_count, budget, options.threads).map_err(CliError)?,
+            false,
+        ),
+    };
+    let progress = |ingest: &SampledIngest| (ingest.completed_count(), ingest.shard_count());
+    let plan = format!(
+        "{} accesses, {} hash shards",
+        ingest.total_accesses(),
+        ingest.shard_count()
+    );
+    note_resume(
+        &mut out,
+        options,
+        resumed,
+        progress(&ingest),
+        "hash shards",
+        &plan,
+    );
+    let ran = run_trace_job(options, registry, |run| ingest.run(source, run))?;
+    note_ran(&mut out, options, ran, progress(&ingest), "hash shard");
+    let Some(summary) = ingest.merged() else {
+        return Ok(incomplete_report(
+            options,
+            out,
+            progress(&ingest),
+            "sampled ingest",
+            registry,
+        ));
+    };
+    let footprint = summary.estimated_footprint().round().max(1.0) as usize;
+    let sizes = log_spaced_sizes(footprint, options.points);
+    let points = summary.histogram.mrc_points(&sizes);
+    if options.json {
+        return Ok(mrc_json(
+            source,
+            "sampled_hash_sharded",
+            summary.raw_accesses,
+            footprint,
+            true,
+            &points,
+            registry,
+        ));
+    }
+    let _ = writeln!(out, "accesses            : {}", summary.raw_accesses);
+    let _ = writeln!(
+        out,
+        "engine              : sampled hash-sharded ({shard_count} shards x {budget} \
+         budget, min rate {:.4}, {} sampled, {} evictions, {} threads)",
+        summary.min_rate, summary.sampled_accesses, summary.evictions, options.threads
+    );
+    let _ = writeln!(out, "footprint           : ~{footprint} (estimated)");
+    out.push_str(&mrc_table(&points));
+    Ok(out)
+}
+
+/// The chunked path of [`trace_mrc`]: one [`TraceIngest`] over `--shards`
+/// chunks, exact — or, with `--exact --sample S`, fused: **one** streaming
+/// pass produces both the exact and the sampled curve (identical to what
+/// separate exact and sampled runs would report) — optionally
+/// checkpoint-resumable.
+fn trace_mrc_chunked(
+    options: &TraceMrcOptions,
+    mut out: String,
+    registry: &mut MetricsRegistry,
+) -> Result<String, CliError> {
+    let source = &options.source;
+    let plan = options
+        .sample
+        .filter(|_| options.fused)
+        .map(|s_max| SampledPlan {
+            shard_count: options.sample_shards,
+            budget_per_shard: (s_max / options.sample_shards).max(1),
+        });
+    let (mut ingest, resumed) = match &options.checkpoint {
+        Some(checkpoint) => TraceIngest::resume_or_new(
+            source,
+            options.shards,
+            plan,
+            options.threads,
+            Path::new(checkpoint),
+        )
+        .map_err(CliError)?,
+        None => (
+            TraceIngest::new(source, options.shards, plan, options.threads).map_err(CliError)?,
+            false,
+        ),
+    };
+    let progress = |ingest: &TraceIngest| (ingest.completed_count(), ingest.chunk_count());
+    let mut plan_text = format!(
+        "{} accesses, {} chunks",
+        ingest.total_accesses(),
+        ingest.chunk_count()
+    );
+    if let Some(plan) = plan {
+        let _ = write!(plan_text, ", {} hash shards", plan.shard_count);
+    }
+    note_resume(
+        &mut out,
+        options,
+        resumed,
+        progress(&ingest),
+        "chunks",
+        &plan_text,
+    );
+    let ran = run_trace_job(options, registry, |run| ingest.run(source, run))?;
+    note_ran(&mut out, options, ran, progress(&ingest), "chunk");
+    let what = if plan.is_some() {
+        "fused ingest"
+    } else {
+        "ingest"
+    };
+    let Some(histogram) = ingest.histogram() else {
+        return Ok(incomplete_report(
+            options,
+            out,
+            progress(&ingest),
+            what,
+            registry,
+        ));
+    };
+    let _ = writeln!(out, "accesses            : {}", histogram.accesses());
+    let (Some(plan), Some(summary)) = (plan, ingest.sampled_summary()) else {
         let _ = writeln!(
             out,
             "engine              : exact sharded ({} chunks, {} threads)",
             ingest.chunk_count(),
             options.threads
         );
-        h
-    } else {
-        // The single-threaded exact path runs through a `MeteredSink`, so
-        // decode time (pulling blocks off the source) and compute time
-        // (the engine's Fenwick work) are split — delivery to the engine
-        // is unchanged, so the curve is byte-identical to the unmetered
-        // loop.
-        let mut sink = MeteredSink::new(OnlineReuseEngine::new());
-        let mut blocks = validated_block_stream(source)?;
-        let mut buf = Vec::new();
-        loop {
-            let decode = Span::start();
-            let n = blocks.next_block(&mut buf);
-            sink.add_decode_nanos(decode.elapsed_nanos());
-            if n == 0 {
-                break;
-            }
-            sink.on_block(&buf);
-        }
-        registry.add("trace.accesses", sink.accesses());
-        registry.add("trace.blocks", sink.blocks());
-        registry.add("trace.decode_nanos", sink.decode_nanos());
-        registry.add("trace.compute_nanos", sink.compute_nanos());
-        let engine = sink.into_inner();
-        engine.record_gauges(&mut registry);
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        let _ = writeln!(out, "accesses            : {}", engine.accesses());
-        let _ = writeln!(out, "engine              : exact streaming (1 thread)");
-        engine.into_histogram()
-    };
-
-    let footprint = usize::try_from(histogram.cold_count()).unwrap_or(usize::MAX);
-    let sizes = log_spaced_sizes(footprint, options.points);
-    let points = histogram.mrc_points(&sizes);
-    if options.json {
-        return Ok(mrc_json(
-            source,
-            engine_name,
-            histogram.accesses(),
-            footprint,
-            false,
-            &points,
-            &registry,
+        return Ok(exact_report(
+            options,
+            out,
+            "exact_sharded",
+            histogram,
+            registry,
         ));
-    }
-    let _ = writeln!(out, "footprint           : {footprint}");
-    out.push_str(&mrc_table(&points));
-    Ok(out)
-}
-
-/// The fused `--exact --sample` path of [`trace_mrc`]: **one** streaming
-/// pass over the trace produces both the exact and the sampled curve
-/// (identical to what separate exact and sampled runs would report),
-/// optionally checkpoint-resumable like either separate pipeline.
-fn trace_mrc_fused(
-    options: &TraceMrcOptions,
-    mut out: String,
-    registry: &mut MetricsRegistry,
-) -> Result<String, CliError> {
-    let source = &options.source;
-    let s_max = options.sample.expect("fused mode implies --sample");
-    let shard_count = options.sample_shards;
-    let budget = (s_max / shard_count).max(1);
-    let ingest = if let Some(checkpoint) = &options.checkpoint {
-        let path = Path::new(checkpoint);
-        let (mut ingest, resumed) = FusedIngest::resume_or_new(
-            source,
-            options.shards,
-            shard_count,
-            budget,
-            options.threads,
-            path,
-        )
-        .map_err(CliError)?;
-        if resumed {
-            let _ = writeln!(
-                out,
-                "resumed from {checkpoint}: {} of {} chunks were already done",
-                ingest.completed_count(),
-                ingest.chunk_count()
-            );
-        } else if path.exists() {
-            let _ = writeln!(
-                out,
-                "warning: existing checkpoint {checkpoint} does not match this \
-                 source/plan (source {source}, {} accesses, {} chunks, {} hash \
-                 shards); starting fresh and overwriting it",
-                ingest.total_accesses(),
-                ingest.chunk_count(),
-                ingest.shard_count()
-            );
-        }
-        let ran = ingest
-            .run_with_checkpoint_metered(
-                source,
-                path,
-                options.max_chunks,
-                Some(&mut *registry),
-                |_, _| {},
-            )
-            .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
-        write_metrics(options.metrics.as_deref(), registry)?;
-        let _ = writeln!(
-            out,
-            "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {checkpoint}",
-            ingest.completed_count(),
-            ingest.chunk_count()
-        );
-        ingest
-    } else {
-        let mut ingest =
-            FusedIngest::new(source, options.shards, shard_count, budget, options.threads)
-                .map_err(CliError)?;
-        let span = Span::start();
-        ingest.run_pending(source, None);
-        registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-        span.record(registry, "trace.total_nanos");
-        write_metrics(options.metrics.as_deref(), registry)?;
-        ingest
-    };
-    let (Some(histogram), Some(summary)) = (ingest.exact_histogram(), ingest.sampled_summary())
-    else {
-        if options.json {
-            return Ok(mrc_progress_json(
-                source,
-                ingest.completed_count(),
-                ingest.chunk_count(),
-                registry,
-            ));
-        }
-        let _ = writeln!(
-            out,
-            "fused ingest incomplete — re-run the same command to continue from \
-             the checkpoint"
-        );
-        return Ok(out);
     };
     let footprint = usize::try_from(histogram.cold_count()).unwrap_or(usize::MAX);
     let exact_points = histogram.mrc_points(&log_spaced_sizes(footprint, options.points));
@@ -725,14 +715,13 @@ fn trace_mrc_fused(
             registry,
         ));
     }
-    let _ = writeln!(out, "accesses            : {}", histogram.accesses());
     let _ = writeln!(
         out,
         "engine              : fused single-pass ({} chunks -> exact + {} hash \
          shards x {} budget, min rate {:.4}, {} threads)",
         ingest.chunk_count(),
-        shard_count,
-        budget,
+        plan.shard_count,
+        plan.budget_per_shard,
         summary.min_rate,
         options.threads
     );

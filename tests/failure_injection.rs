@@ -2,10 +2,20 @@
 //! workspace returns a typed, descriptive error (or a documented panic)
 //! instead of silently producing wrong results.
 
+use symmetric_locality::core::job::RunOptions;
 use symmetric_locality::core::CoreError;
 use symmetric_locality::perm::PermError;
 use symmetric_locality::prelude::*;
 use symmetric_locality::trace::io::{read_trace, read_trace_from_str, TraceIoError};
+
+/// Run options for the first `units` pending units, unmetered and without
+/// a checkpoint.
+fn first<'a>(units: usize) -> RunOptions<'a> {
+    RunOptions {
+        limit: Some(units),
+        ..RunOptions::default()
+    }
+}
 
 #[test]
 fn malformed_permutations_are_rejected_with_context() {
@@ -311,7 +321,7 @@ fn stale_sidecar_in_parallel_ingest_falls_back_byte_identical() {
     let source = TraceSource::Binary(path.clone());
 
     // Reference: the parallel ingest with a healthy sidecar.
-    let mut healthy = TraceIngest::new(&source, 8, 2).unwrap();
+    let mut healthy = TraceIngest::new(&source, 8, None, 2).unwrap();
     healthy.run_pending(&source, None);
     let expected = healthy.to_json();
 
@@ -319,7 +329,7 @@ fn stale_sidecar_in_parallel_ingest_falls_back_byte_identical() {
     // mismatched index — here, one describing a different payload). The
     // parallel decode path must silently fall back to sequential
     // decode-skip per chunk and finish byte-identical, not mis-seek.
-    let mut ingest = TraceIngest::new(&source, 8, 2).unwrap();
+    let mut ingest = TraceIngest::new(&source, 8, None, 2).unwrap();
     let stale = write_sltr_indexed(&cyclic_trace(10, 3), &other, 16).unwrap();
     stale.write(&sidecar).unwrap();
     ingest.run_pending(&source, None);
@@ -327,7 +337,7 @@ fn stale_sidecar_in_parallel_ingest_falls_back_byte_identical() {
 
     // Sidecar vanishing entirely mid-job is the same fallback.
     healthy_index.write(&sidecar).unwrap();
-    let mut ingest = TraceIngest::new(&source, 8, 2).unwrap();
+    let mut ingest = TraceIngest::new(&source, 8, None, 2).unwrap();
     std::fs::remove_file(&sidecar).unwrap();
     ingest.run_pending(&source, None);
     assert_eq!(ingest.to_json(), expected);
@@ -340,14 +350,15 @@ fn stale_sidecar_in_parallel_ingest_falls_back_byte_identical() {
 #[test]
 fn mangled_checkpoint_documents_are_rejected_with_context() {
     use symmetric_locality::core::engine::SweepSpec;
+    use symmetric_locality::core::job::JobRunner;
     use symmetric_locality::core::shard::SampledSweep;
-    use symmetric_locality::core::tracesweep::{SampledIngest, TraceIngest};
+    use symmetric_locality::core::tracesweep::{SampledIngest, SampledPlan, TraceIngest};
     use symmetric_locality::trace::stream::{GenSpec, TraceSource};
 
     // A sampled-sweep checkpoint with flipped bits in every load-bearing
     // field must fail to parse, never panic or silently resume.
     let mut sweep = SampledSweep::new(SweepSpec::figure1(6), 100, 2, 1, 1);
-    sweep.run_pending(Some(2));
+    JobRunner::run(&mut sweep, first(2)).unwrap();
     let good = sweep.to_json();
     for mangled in [
         good.replace("symloc_sampled_sweep_checkpoint", "who_knows"),
@@ -378,7 +389,7 @@ fn mangled_checkpoint_documents_are_rejected_with_context() {
     }
 
     // …and the exact trace ingest.
-    let mut exact = TraceIngest::new(&source, 3, 1).unwrap();
+    let mut exact = TraceIngest::new(&source, 3, None, 1).unwrap();
     exact.run_pending(&source, Some(1));
     let good = exact.to_json();
     assert!(TraceIngest::from_json(&good.replace("timeline", "timeleap"), 1).is_err());
@@ -386,8 +397,11 @@ fn mangled_checkpoint_documents_are_rejected_with_context() {
 
     // …and the fused ingest, whose checkpoint carries both sides: mangling
     // either the exact state or any per-shard sampled state is rejected.
-    use symmetric_locality::core::tracesweep::FusedIngest;
-    let mut fused = FusedIngest::new(&source, 3, 2, 16, 1).unwrap();
+    let plan = SampledPlan {
+        shard_count: 2,
+        budget_per_shard: 16,
+    };
+    let mut fused = TraceIngest::new(&source, 3, Some(plan), 1).unwrap();
     fused.run_pending(&source, Some(1));
     let good = fused.to_json();
     for mangled in [
@@ -401,7 +415,7 @@ fn mangled_checkpoint_documents_are_rejected_with_context() {
         good[..good.len() / 2].to_string(),
         "{}".to_string(),
     ] {
-        assert!(FusedIngest::from_json(&mangled, 1).is_err(), "{mangled}");
+        assert!(TraceIngest::from_json(&mangled, 1).is_err(), "{mangled}");
     }
 
     // …and the serve tenant table, whose document carries one estimator
@@ -431,23 +445,27 @@ fn mangled_checkpoint_documents_are_rejected_with_context() {
 #[test]
 fn cross_kind_checkpoint_resume_fails_loudly_for_every_pair() {
     use symmetric_locality::core::engine::SweepSpec;
-    use symmetric_locality::core::job::JobKind;
+    use symmetric_locality::core::job::{JobKind, JobRunner};
     use symmetric_locality::core::serve::ServeState;
     use symmetric_locality::core::shard::{SampledSweep, ShardedSweep};
-    use symmetric_locality::core::tracesweep::{FusedIngest, SampledIngest, TraceIngest};
+    use symmetric_locality::core::tracesweep::{SampledIngest, SampledPlan, TraceIngest};
     use symmetric_locality::trace::stream::{GenSpec, TraceSource};
 
     // One small in-progress checkpoint per job kind.
     let source = TraceSource::Gen(GenSpec::parse("gen:zipf:50:500:0.9:1").unwrap());
     let mut sharded = ShardedSweep::new(SweepSpec::figure1(5), 4, 1);
-    sharded.run_pending(Some(1));
+    JobRunner::run(&mut sharded, first(1)).unwrap();
     let mut sampled_sweep = SampledSweep::new(SweepSpec::figure1(5), 60, 2, 1, 1);
-    sampled_sweep.run_pending(Some(2));
-    let mut ingest = TraceIngest::new(&source, 3, 1).unwrap();
+    JobRunner::run(&mut sampled_sweep, first(2)).unwrap();
+    let mut ingest = TraceIngest::new(&source, 3, None, 1).unwrap();
     ingest.run_pending(&source, Some(1));
     let mut sampled_ingest = SampledIngest::new(&source, 2, 16, 1).unwrap();
     sampled_ingest.run_pending(&source, Some(1));
-    let mut fused_ingest = FusedIngest::new(&source, 3, 2, 16, 1).unwrap();
+    let plan = Some(SampledPlan {
+        shard_count: 2,
+        budget_per_shard: 16,
+    });
+    let mut fused_ingest = TraceIngest::new(&source, 3, plan, 1).unwrap();
     fused_ingest.run_pending(&source, Some(1));
     let mut serve_state = ServeState::new(16, 4).unwrap();
     let tenant = serve_state.ensure_tenant("alpha").unwrap();
@@ -463,20 +481,23 @@ fn cross_kind_checkpoint_resume_fails_loudly_for_every_pair() {
 
     // Every cross-kind decode must fail with an error naming both the
     // found and the expected kind — never misparse, never a bare "bad
-    // JSON" shrug.
+    // JSON" shrug. The two trace tags share one decoder (`TraceIngest`
+    // reads both), so that pair is not a cross-kind decode.
     let decode_err = |expected: JobKind, text: &str| -> String {
         match expected {
             JobKind::ShardedSweep => ShardedSweep::from_json(text, 1).unwrap_err(),
             JobKind::SampledSweep => SampledSweep::from_json(text, 1).unwrap_err(),
-            JobKind::TraceIngest => TraceIngest::from_json(text, 1).unwrap_err(),
+            JobKind::TraceIngest | JobKind::FusedIngest => {
+                TraceIngest::from_json(text, 1).unwrap_err()
+            }
             JobKind::SampledIngest => SampledIngest::from_json(text, 1).unwrap_err(),
-            JobKind::FusedIngest => FusedIngest::from_json(text, 1).unwrap_err(),
             JobKind::ServeState => ServeState::from_json(text).unwrap_err(),
         }
     };
+    let trace_tag = |kind: JobKind| matches!(kind, JobKind::TraceIngest | JobKind::FusedIngest);
     for (found, text) in &documents {
         for expected in JobKind::ALL {
-            if expected == *found {
+            if expected == *found || (trace_tag(expected) && trace_tag(*found)) {
                 continue;
             }
             let err = decode_err(expected, text);
@@ -510,7 +531,8 @@ fn cross_kind_checkpoint_resume_fails_loudly_for_every_pair() {
             ),
             (
                 JobKind::TraceIngest,
-                TraceIngest::resume_or_new(&source, 3, 1, &path).map(|(s, _)| s.completed_count()),
+                TraceIngest::resume_or_new(&source, 3, None, 1, &path)
+                    .map(|(s, _)| s.completed_count()),
             ),
             (
                 JobKind::SampledIngest,
@@ -519,7 +541,7 @@ fn cross_kind_checkpoint_resume_fails_loudly_for_every_pair() {
             ),
             (
                 JobKind::FusedIngest,
-                FusedIngest::resume_or_new(&source, 3, 2, 16, 1, &path)
+                TraceIngest::resume_or_new(&source, 3, plan, 1, &path)
                     .map(|(s, _)| s.completed_count()),
             ),
             (
@@ -565,10 +587,12 @@ fn corrupt_truncated_or_stale_heartbeats_degrade_status_but_never_fail() {
 
     // An interrupted checkpointed ingest leaves a live heartbeat sidecar.
     let source = TraceSource::Gen(GenSpec::parse("gen:zipf:60:2000:0.8:3").unwrap());
-    let mut ingest = TraceIngest::new(&source, 6, 1).unwrap();
-    ingest
-        .run_with_checkpoint(&source, &ck, Some(1), |_, _| {})
-        .unwrap();
+    let mut ingest = TraceIngest::new(&source, 6, None, 1).unwrap();
+    let options = RunOptions {
+        checkpoint: Some(&ck),
+        ..first(1)
+    };
+    ingest.run(&source, options).unwrap();
     assert!(sidecar.exists(), "interrupted run must leave a heartbeat");
     let live_hb = std::fs::read_to_string(&sidecar).unwrap();
     let status = run(&["job", "status", &ck_str]).unwrap();
@@ -622,6 +646,68 @@ fn corrupt_truncated_or_stale_heartbeats_degrade_status_but_never_fail() {
 
     std::fs::remove_file(&ck).ok();
     std::fs::remove_file(&sidecar).ok();
+}
+
+#[test]
+fn exact_timelines_that_repeat_or_drop_addresses_are_rejected_for_both_tags() {
+    use symmetric_locality::cli;
+
+    // The exact side of both trace tags stores the merge timeline: every
+    // distinct address once, so exactly `cold` of them. A repeated or a
+    // dropped address would resume into a wrong curve, so the one trace
+    // codec names the defect and `job resume` / `job status` refuse.
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let run = |args: &[&str]| {
+        cli::run(
+            &args
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<String>>(),
+        )
+    };
+    for (tag, extra) in [
+        ("symloc_trace_ingest_checkpoint", &[][..]),
+        (
+            "symloc_fused_trace_checkpoint",
+            &["--exact", "--sample", "64"][..],
+        ),
+    ] {
+        let ck = dir.join(format!("symloc_failinj_timeline_{pid}_{tag}.json"));
+        let ck_str = ck.to_str().unwrap();
+        std::fs::remove_file(&ck).ok();
+        let mut args = vec!["trace", "mrc", "gen:zipf:200:4000:0.8:7"];
+        args.extend_from_slice(extra);
+        args.extend_from_slice(&["--shards", "4", "--threads", "2", "--checkpoint", ck_str]);
+        args.extend_from_slice(&["--max-chunks", "2"]);
+        run(&args).unwrap();
+        let good = std::fs::read_to_string(&ck).unwrap();
+        assert!(good.contains(tag), "{good}");
+        let start = good.find("\"timeline\": [").unwrap() + "\"timeline\": [".len();
+        let end = start + good[start..].find(']').unwrap();
+        let addresses: Vec<&str> = good[start..end].split(", ").collect();
+        assert!(addresses.len() > 100, "{tag}: a footprint worth mangling");
+        let with_timeline =
+            |list: &[&str]| format!("{}{}{}", &good[..start], list.join(", "), &good[end..]);
+        let mut repeated = addresses.clone();
+        repeated.push(addresses[100]);
+        let mut swapped = addresses.clone();
+        *swapped.last_mut().unwrap() = addresses[0];
+        let dropped = &addresses[..addresses.len() - 1];
+        for (mangled, named) in [
+            (with_timeline(&repeated), "appears twice"),
+            (with_timeline(&swapped), "appears twice"),
+            (with_timeline(dropped), "cold count"),
+        ] {
+            std::fs::write(&ck, &mangled).unwrap();
+            let err = run(&["job", "resume", ck_str]).unwrap_err();
+            assert!(err.0.contains(named), "{tag}: {err}");
+            let err = run(&["job", "status", ck_str]).unwrap_err();
+            assert!(err.0.contains(named), "{tag}: {err}");
+        }
+        std::fs::remove_file(&ck).ok();
+        std::fs::remove_file(format!("{ck_str}.hb")).ok();
+    }
 }
 
 #[test]

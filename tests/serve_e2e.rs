@@ -204,3 +204,47 @@ fn tcp_daemon_survives_sigterm_and_answers_identically() {
     assert!(child.wait().expect("daemon exits").success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn tcp_lines_split_across_a_read_timeout_stay_whole() {
+    let dir = std::env::temp_dir().join(format!("symloc_serve_e2e_split_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut child, addr) = spawn_tcp(&dir.join("serve.ckpt.json"));
+    let stream = TcpStream::connect(&addr).expect("connect to daemon");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut send = |bytes: &[u8]| {
+        writer.write_all(bytes).expect("send bytes");
+        writer.flush().expect("flush bytes");
+    };
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read reply");
+        line.trim_end().to_string()
+    };
+
+    send(b"HELLO t\n");
+    assert_eq!(reply(), "OK tenant t");
+    // One address, `123456`, whose line straddles a pause longer than the
+    // daemon's 200 ms read timeout, then the same address again: one
+    // distinct address, not `123` and `456` as two.
+    send(b"123");
+    std::thread::sleep(std::time::Duration::from_millis(500));
+    send(b"456\n123456\n");
+    send(b"WSS t\n");
+    assert_eq!(reply(), "OK wss t 1");
+    // A line that is not UTF-8 gets a named error and the session lives on.
+    send(b"\xff\xfe\n");
+    assert_eq!(reply(), "ERR line is not valid UTF-8");
+    send(b"WSS t\n");
+    assert_eq!(reply(), "OK wss t 1");
+    send(b"QUIT\n");
+
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(kill.success());
+    assert!(child.wait().expect("daemon exits").success());
+    std::fs::remove_dir_all(&dir).ok();
+}

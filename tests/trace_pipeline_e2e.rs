@@ -4,6 +4,7 @@
 //! run's final checkpoint is byte-identical to an uninterrupted one, and
 //! that the report output stays machine-parseable throughout.
 
+use std::path::Path;
 use symmetric_locality::cli;
 use symmetric_locality::trace::binio::sltr_index_path;
 
@@ -174,5 +175,50 @@ fn sampled_sweep_checkpoint_survives_kill_and_resume_via_cli() {
     };
     assert_eq!(tail(&second), tail(&direct));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn checkpoints_written_by_an_earlier_release_resume_byte_identically() {
+    // Mid-run checkpoints of both trace tags, committed as an earlier
+    // release wrote them (`--max-chunks 2` of 4 over the same `gen:`
+    // spec). The current writer must produce the same bytes at the same
+    // point, and resuming the committed bytes must finish with exactly the
+    // final checkpoint of an uninterrupted run.
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let dir = std::env::temp_dir().join(format!("symloc_e2e_compat_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let plan = "gen:zipf:200:4000:0.8:7 --shards 4 --threads 2";
+    for (fixture, extra) in [
+        ("parent_exact_mid.ckpt.json", ""),
+        ("parent_fused_mid.ckpt.json", "--exact --sample 64"),
+    ] {
+        let committed = std::fs::read_to_string(fixtures.join(fixture)).unwrap();
+        let path = |name: &str| dir.join(format!("{name}.{fixture}"));
+        let (mid, resumed, fresh) = (path("mid"), path("resumed"), path("fresh"));
+
+        run(&format!(
+            "trace mrc {plan} {extra} --checkpoint {} --max-chunks 2",
+            mid.display()
+        ));
+        assert_eq!(
+            std::fs::read_to_string(&mid).unwrap(),
+            committed,
+            "{fixture}: the mid-run checkpoint bytes changed"
+        );
+
+        std::fs::write(&resumed, &committed).unwrap();
+        let report = run(&format!("job resume {} --threads 2", resumed.display()));
+        assert!(report.contains("4 of 4 complete"), "{fixture}: {report}");
+        run(&format!(
+            "trace mrc {plan} {extra} --checkpoint {}",
+            fresh.display()
+        ));
+        assert_eq!(
+            std::fs::read_to_string(&resumed).unwrap(),
+            std::fs::read_to_string(&fresh).unwrap(),
+            "{fixture}: resuming the committed bytes must finish byte-identically"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
