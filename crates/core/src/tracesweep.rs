@@ -67,7 +67,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use symloc_par::split_indices;
 use symloc_perm::fenwick::Fenwick;
-use symloc_trace::stream::{AccessSink, BlockRead, CountingSink, TraceSource};
+use symloc_trace::stream::{splitmix64, AccessSink, BlockRead, CountingSink, TraceSource};
 
 /// Smallest Fenwick capacity a timeline starts with (kept low so the
 /// compaction path is exercised constantly, not only at scale).
@@ -983,17 +983,6 @@ impl symloc_trace::stream::AccessSink for OnlineReuseEngine {
 /// Public so callers (fixed-threshold runs, tests, the CLI) can express
 /// thresholds as fractions of the hash space.
 pub const SHARDS_MODULUS: u64 = 1 << 24;
-
-/// SplitMix64: the spatial-sampling hash. Statistically uniform, cheap and
-/// stateless, so the sampling decision for an address is globally
-/// consistent across chunks, threads and runs.
-#[must_use]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The bounded-memory sampled reuse-distance estimator (SHARDS-style).
 ///

@@ -22,17 +22,19 @@
 //! gen:zipf:<m>:<len>:<s>:<seed>
 //! ```
 //!
-//! Deterministic-pattern generators (cyclic, sawtooth, strided, tiled) are
-//! random-access — `stream_range` starts mid-pattern in `O(1)` — while the
-//! seeded random generators (random, zipf) replay and discard the prefix,
-//! which costs RNG draws but no memory. Either way a generator stream is
-//! `O(m)` state (the Zipfian CDF) regardless of trace length.
+//! Every generator is random-access: [`GenSpec::address_at`] computes any
+//! position directly, so `stream_range` starts mid-trace in `O(1)`. The
+//! deterministic patterns (cyclic, sawtooth, strided, tiled) are closed
+//! forms; the seeded kinds (random, zipf) are counter-based — the workspace
+//! `StdRng` is SplitMix64, whose draw `i` is one [`splitmix64`] of
+//! `seed + i·γ`, and each access takes exactly one draw — so a chunk never
+//! replays its prefix, and the streams equal the batch generators' draw for
+//! draw. A generator stream is `O(m)` state (the Zipfian CDF) regardless of
+//! trace length, and fills [`BlockRead`] buffers natively.
 
 use crate::binio::{count_sltr_accesses, sltr_index_path, SltrIndex, SltrReader};
 use crate::io::TraceIoError;
 use crate::trace::Trace;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -120,28 +122,28 @@ impl GenSpec {
                 ))
             }
         };
-        match parts.first().copied() {
+        let spec = match parts.first().copied() {
             Some("cyclic") => {
                 arity(2)?;
-                Ok(GenSpec::Cyclic {
+                GenSpec::Cyclic {
                     m: num("m", parts[1])?,
                     epochs: num("epochs", parts[2])?,
-                })
+                }
             }
             Some("sawtooth") => {
                 arity(2)?;
-                Ok(GenSpec::Sawtooth {
+                GenSpec::Sawtooth {
                     m: num("m", parts[1])?,
                     epochs: num("epochs", parts[2])?,
-                })
+                }
             }
             Some("strided") => {
                 arity(3)?;
-                Ok(GenSpec::Strided {
+                GenSpec::Strided {
                     m: num("m", parts[1])?,
                     stride: num("stride", parts[2])?,
                     epochs: num("epochs", parts[3])?,
-                })
+                }
             }
             Some("tiled") => {
                 arity(3)?;
@@ -149,37 +151,52 @@ impl GenSpec {
                 if tile == 0 {
                     return Err("tile must be positive".to_string());
                 }
-                Ok(GenSpec::Tiled {
+                GenSpec::Tiled {
                     m: num("m", parts[1])?,
                     tile,
                     epochs: num("epochs", parts[3])?,
-                })
+                }
             }
             Some("random") => {
                 arity(3)?;
-                Ok(GenSpec::Random {
+                GenSpec::Random {
                     m: num("m", parts[1])?,
                     len: num("len", parts[2])?,
                     seed: num("seed", parts[3])?,
-                })
+                }
             }
             Some("zipf") => {
                 arity(4)?;
                 let s: f64 = parts[3]
                     .parse()
                     .map_err(|_| format!("s must be a number, got {:?}", parts[3]))?;
-                Ok(GenSpec::Zipf {
+                GenSpec::Zipf {
                     m: num("m", parts[1])?,
                     len: num("len", parts[2])?,
                     s,
                     seed: num("seed", parts[4])?,
-                })
+                }
             }
-            Some(other) => Err(format!(
-                "unknown generator {other:?} (expected cyclic, sawtooth, strided, tiled, random or zipf)"
-            )),
-            None => Err("empty generator spec".to_string()),
+            Some(other) => {
+                return Err(format!(
+                    "unknown generator {other:?} (expected cyclic, sawtooth, strided, tiled, random or zipf)"
+                ))
+            }
+            None => return Err("empty generator spec".to_string()),
+        };
+        if let GenSpec::Cyclic { m, epochs }
+        | GenSpec::Sawtooth { m, epochs }
+        | GenSpec::Strided { m, epochs, .. }
+        | GenSpec::Tiled { m, epochs, .. } = spec
+        {
+            if m.checked_mul(epochs).is_none() {
+                return Err(format!(
+                    "gen:{} length m × epochs = {m} × {epochs} overflows u64",
+                    parts[0]
+                ));
+            }
         }
+        Ok(spec)
     }
 
     /// The canonical spec string (parses back to `self`).
@@ -195,7 +212,8 @@ impl GenSpec {
         }
     }
 
-    /// Total number of accesses the spec generates.
+    /// Total number of accesses the spec generates ([`GenSpec::parse`]
+    /// rejects pattern specs whose `m × epochs` overflows `u64`).
     #[must_use]
     pub fn total_accesses(&self) -> u64 {
         match *self {
@@ -207,31 +225,69 @@ impl GenSpec {
         }
     }
 
-    /// The address at position `i` for the deterministic pattern kinds, or
-    /// `None` for the seeded random kinds (which must replay the stream).
+    /// The address at position `i < total_accesses()`, in `O(1)` for every
+    /// kind but Zipf, which first builds its `O(m)` CDF (a stream from
+    /// [`GenSpec::stream_range`] builds it once instead). The seeded kinds
+    /// are counter-based: access `i` is draw `i` of
+    /// `StdRng::seed_from_u64(seed)`, mapped exactly as
+    /// [`crate::generators::random_trace`] and
+    /// [`crate::generators::zipfian_trace`] map it. A Zipf spec over zero
+    /// addresses streams nothing and answers `0`.
     #[must_use]
-    fn address_at(&self, i: u64) -> Option<u64> {
+    pub fn address_at(&self, i: u64) -> u64 {
+        self.address_in(i, &self.zipf_table())
+    }
+
+    /// The Zipf CDF of a Zipf spec — the batch generator's table, as
+    /// draw-for-draw equivalence requires — and empty for other kinds.
+    fn zipf_table(&self) -> Vec<f64> {
         match *self {
-            GenSpec::Cyclic { m, .. } => Some(i % m),
+            GenSpec::Zipf { m, s, .. } => {
+                crate::generators::zipfian_cdf(usize::try_from(m).expect("zipf CDF fits memory"), s)
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// [`GenSpec::address_at`] against a prebuilt [`GenSpec::zipf_table`].
+    #[inline]
+    fn address_in(&self, i: u64, cdf: &[f64]) -> u64 {
+        match *self {
+            GenSpec::Cyclic { m, .. } => i % m,
             GenSpec::Sawtooth { m, .. } => {
                 let (epoch, pos) = (i / m, i % m);
-                Some(if epoch % 2 == 0 { pos } else { m - 1 - pos })
+                if epoch % 2 == 0 {
+                    pos
+                } else {
+                    m - 1 - pos
+                }
             }
             GenSpec::Strided { m, stride, .. } => {
-                Some((u128::from(i % m) * u128::from(stride) % u128::from(m)) as u64)
+                (u128::from(i % m) * u128::from(stride) % u128::from(m)) as u64
             }
             GenSpec::Tiled { m, tile, epochs } => {
-                let span = tile * epochs;
+                // With `tile > m` there are no full tiles and `span` is
+                // unused, so saturating keeps huge tiles from overflowing.
+                let span = tile.saturating_mul(epochs);
                 let full_tiles = m / tile;
                 if i < full_tiles * span {
                     let t = i / span;
-                    Some(t * tile + (i % span) % tile)
+                    t * tile + (i % span) % tile
                 } else {
                     let last_size = m - full_tiles * tile;
-                    Some(full_tiles * tile + (i - full_tiles * span) % last_size)
+                    full_tiles * tile + (i - full_tiles * span) % last_size
                 }
             }
-            GenSpec::Random { .. } | GenSpec::Zipf { .. } => None,
+            GenSpec::Random { m, seed, .. } => {
+                // The shim's widening-multiply (Lemire) range mapping.
+                ((u128::from(seeded_draw(seed, i)) * u128::from(m.max(1))) >> 64) as u64
+            }
+            GenSpec::Zipf { seed, .. } => {
+                // The shim's 53-bit unit-interval mapping, then inversion.
+                let u = (seeded_draw(seed, i) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                cdf.partition_point(|&c| c < u)
+                    .min(cdf.len().saturating_sub(1)) as u64
+            }
         }
     }
 
@@ -241,48 +297,22 @@ impl GenSpec {
         self.stream_range(0, self.total_accesses())
     }
 
-    /// A stream over positions `start..end` (clamped to the total length).
-    /// Deterministic patterns start in `O(1)`; seeded random generators
-    /// replay and discard the first `start` draws.
+    /// A stream over positions `start..end` (clamped to the total length),
+    /// starting in `O(1)` for every kind (plus building the Zipf CDF):
+    /// positions are computed by [`GenSpec::address_at`], never replayed.
     #[must_use]
     pub fn stream_range(&self, start: u64, end: u64) -> GenStream {
         let mut end = end.min(self.total_accesses());
-        let start = start.min(end);
-        let sampler = match *self {
-            GenSpec::Random { m, seed, .. } => {
-                let mut sampler = RandomSampler::Uniform {
-                    m: m.max(1),
-                    rng: StdRng::seed_from_u64(seed),
-                };
-                for _ in 0..start {
-                    let _ = sampler.draw();
-                }
-                Some(sampler)
-            }
-            GenSpec::Zipf { m, s, seed, .. } => {
-                if m == 0 {
-                    // A Zipfian trace over zero addresses is empty (mirrors
-                    // the batch generator).
-                    end = start;
-                    None
-                } else {
-                    let mut sampler = RandomSampler::Zipf {
-                        cdf: zipf_cdf(m, s),
-                        rng: StdRng::seed_from_u64(seed),
-                    };
-                    for _ in 0..start {
-                        let _ = sampler.draw();
-                    }
-                    Some(sampler)
-                }
-            }
-            _ => None,
-        };
+        if let GenSpec::Zipf { m: 0, .. } = self {
+            // A Zipfian trace over zero addresses is empty (mirrors the
+            // batch generator).
+            end = 0;
+        }
         GenStream {
             spec: self.clone(),
-            index: start,
+            index: start.min(end),
             end,
-            sampler,
+            cdf: self.zipf_table(),
         }
     }
 
@@ -306,38 +336,41 @@ impl std::fmt::Display for GenSpec {
     }
 }
 
-/// The cumulative Zipfian distribution shared with the batch generator
-/// (draw-for-draw equivalence requires the identical table).
-fn zipf_cdf(m: u64, s: f64) -> Vec<f64> {
-    crate::generators::zipfian_cdf(usize::try_from(m).expect("zipf CDF fits memory"), s)
+/// SplitMix64's output function on a pre-incremented state: a cheap,
+/// stateless, statistically uniform 64-bit mix. It is the workspace
+/// `StdRng`'s step (so `splitmix64(seed)` is that generator's first draw),
+/// the counter behind [`seeded_draw`], and the SHARDS spatial-sampling
+/// hash.
+#[inline]
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(SPLITMIX_GAMMA);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
-#[derive(Debug)]
-enum RandomSampler {
-    Uniform { m: u64, rng: StdRng },
-    Zipf { cdf: Vec<f64>, rng: StdRng },
+/// SplitMix64's state increment (the golden-ratio Weyl constant).
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Draw `i` (0-based) of `StdRng::seed_from_u64(seed)`. SplitMix64 is
+/// counter-based — its state after `i` steps is `seed + i·γ` — so any draw
+/// costs one hash, whatever its position (cf. Salmon et al., "Parallel
+/// random numbers: as easy as 1, 2, 3", SC'11).
+#[inline]
+fn seeded_draw(seed: u64, i: u64) -> u64 {
+    splitmix64(seed.wrapping_add(i.wrapping_mul(SPLITMIX_GAMMA)))
 }
 
-impl RandomSampler {
-    fn draw(&mut self) -> u64 {
-        match self {
-            RandomSampler::Uniform { m, rng } => rng.gen_range(0..*m),
-            RandomSampler::Zipf { cdf, rng } => {
-                let u: f64 = rng.gen();
-                let idx = cdf.partition_point(|&c| c < u).min(cdf.len() - 1);
-                idx as u64
-            }
-        }
-    }
-}
-
-/// A streaming iterator over (a sub-range of) a generated trace.
+/// A streaming iterator over (a sub-range of) a generated trace, and its
+/// native [`BlockRead`]er.
 #[derive(Debug)]
 pub struct GenStream {
     spec: GenSpec,
     index: u64,
     end: u64,
-    sampler: Option<RandomSampler>,
+    /// The Zipf CDF, built once per stream (empty for other kinds).
+    cdf: Vec<f64>,
 }
 
 impl GenStream {
@@ -355,13 +388,7 @@ impl Iterator for GenStream {
         if self.index >= self.end {
             return None;
         }
-        let addr = match &mut self.sampler {
-            Some(sampler) => sampler.draw(),
-            None => self
-                .spec
-                .address_at(self.index)
-                .expect("deterministic patterns are random-access"),
-        };
+        let addr = self.spec.address_in(self.index, &self.cdf);
         self.index += 1;
         Some(addr)
     }
@@ -369,6 +396,17 @@ impl Iterator for GenStream {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = usize::try_from(self.remaining()).ok();
         (n.unwrap_or(usize::MAX), n)
+    }
+}
+
+impl BlockRead for GenStream {
+    fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
+        let n = self.remaining().min(BLOCK_LEN as u64);
+        let (spec, cdf) = (&self.spec, &self.cdf);
+        buf.clear();
+        buf.extend((self.index..self.index + n).map(|i| spec.address_in(i, cdf)));
+        self.index += n;
+        buf.len()
     }
 }
 
@@ -764,10 +802,7 @@ impl TraceSource {
                     .take(usize::try_from(take).unwrap_or(usize::MAX));
                 Ok(Box::new(iter))
             }
-            TraceSource::Gen(spec) => {
-                let end = end.min(spec.total_accesses());
-                Ok(Box::new(spec.stream_range(start, end)))
-            }
+            TraceSource::Gen(spec) => Ok(Box::new(spec.stream_range(start, end))),
             TraceSource::Memory(trace) => {
                 let len = trace.len() as u64;
                 let end = end.min(len);
@@ -789,9 +824,10 @@ impl TraceSource {
     /// caller's buffer ([`SltrReader::decode_block`]), seek via the sidecar
     /// chunk index when a valid one applies, and decode-skip the prefix in
     /// blocks otherwise (identical accesses either way, mirroring the
-    /// iterator path's stale-sidecar fallback). Other source kinds adapt
-    /// their iterator into blocks. Both stream shapes yield identical
-    /// access sequences.
+    /// iterator path's stale-sidecar fallback). Generator sources fill the
+    /// buffer directly from [`GenSpec::address_at`] positions; text and
+    /// in-memory sources adapt their iterator into blocks. Both stream
+    /// shapes yield identical access sequences.
     ///
     /// # Errors
     ///
@@ -800,6 +836,7 @@ impl TraceSource {
     pub fn stream_blocks_range(&self, start: u64, end: u64) -> Result<AccessBlocks, TraceIoError> {
         match self {
             TraceSource::Binary(path) => sltr_blocks_range(path, start, end.saturating_sub(start)),
+            TraceSource::Gen(spec) => Ok(Box::new(spec.stream_range(start, end))),
             _ => Ok(Box::new(IterBlocks {
                 iter: self.stream_range(start, end)?,
             })),
@@ -1462,6 +1499,111 @@ mod tests {
         assert_eq!(
             GenSpec::parse("gen:cyclic:0:5").unwrap().total_accesses(),
             0
+        );
+    }
+
+    #[test]
+    fn address_at_is_draw_i_of_the_seeded_std_rng() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let len = 300u64;
+        for seed in [0, 42, u64::MAX] {
+            for m in [0u64, 1, 2, 10, 1000] {
+                let spec = GenSpec::Random { m, len, seed };
+                let mut rng = StdRng::seed_from_u64(seed);
+                let batch = as_u64(&random_trace(m as usize, len as usize, &mut rng));
+                let positioned: Vec<u64> = (0..len).map(|i| spec.address_at(i)).collect();
+                assert_eq!(positioned, batch, "{spec}");
+                assert_eq!(collect(&spec), batch, "{spec}");
+            }
+            for m in [0u64, 1, 2, 20, 1000] {
+                let spec = GenSpec::Zipf {
+                    m,
+                    len,
+                    s: 0.9,
+                    seed,
+                };
+                let mut rng = StdRng::seed_from_u64(seed);
+                let batch = as_u64(&zipfian_trace(m as usize, len as usize, 0.9, &mut rng));
+                assert_eq!(collect(&spec), batch, "{spec}");
+                if m > 0 {
+                    let positioned: Vec<u64> = (0..len).map(|i| spec.address_at(i)).collect();
+                    assert_eq!(positioned, batch, "{spec}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gen_block_reader_equals_stream_range_across_block_boundaries() {
+        let b = BLOCK_LEN as u64;
+        for text in ["gen:random:5000:13000:9", "gen:zipf:3000:13000:0.8:9"] {
+            let spec = GenSpec::parse(text).unwrap();
+            let source = TraceSource::Gen(spec.clone());
+            for (start, end) in [
+                (0, 13_000),
+                (b - 3, b + 5),
+                (1, 2 * b + 1),
+                (b, 2 * b),
+                (2 * b + 7, 20_000),
+                (13_000, 13_000),
+            ] {
+                let via_range: Vec<u64> = spec.stream_range(start, end).collect();
+                let mut blocks = source.stream_blocks_range(start, end).unwrap();
+                let mut via_blocks = Vec::new();
+                let mut buf = Vec::new();
+                while blocks.next_block(&mut buf) > 0 {
+                    // Every block but the last is full.
+                    assert!(via_blocks.len() % BLOCK_LEN == 0, "{text} {start}..{end}");
+                    via_blocks.extend_from_slice(&buf);
+                }
+                assert_eq!(via_blocks, via_range, "{text} range {start}..{end}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_streams_seek_to_any_position_in_constant_time() {
+        // A replaying generator would need 10^18 draws to get here.
+        let end = 1_000_000_000_000_000_000u64;
+        let spec = GenSpec::parse(&format!("gen:zipf:20000:{end}:0.8:7")).unwrap();
+        let cdf = crate::generators::zipfian_cdf(20_000, 0.8);
+        let expect: Vec<u64> = (end - 5..end)
+            .map(|i| {
+                let x = splitmix64(7u64.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+                let u = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                cdf.partition_point(|&c| c < u).min(19_999) as u64
+            })
+            .collect();
+        let tail: Vec<u64> = spec.stream_range(end - 5, end).collect();
+        assert_eq!(tail, expect);
+        assert_eq!(spec.address_at(end - 1), expect[4]);
+    }
+
+    #[test]
+    fn pattern_lengths_that_overflow_u64_are_rejected() {
+        for text in [
+            "gen:cyclic:4294967296:4294967296",
+            "gen:sawtooth:18446744073709551615:2",
+            "gen:strided:4294967296:3:4294967296",
+            "gen:tiled:4294967296:7:4294967296",
+        ] {
+            let err = GenSpec::parse(text).unwrap_err();
+            assert!(err.contains("overflows u64"), "{text}: {err}");
+            assert!(TraceSource::parse(text).is_err(), "{text}");
+        }
+        let widest = GenSpec::parse("gen:cyclic:4294967296:4294967295").unwrap();
+        assert_eq!(widest.total_accesses(), 4_294_967_296 * 4_294_967_295);
+        assert_eq!(
+            widest.address_at(widest.total_accesses() - 1),
+            4_294_967_295
+        );
+        // A tile wider than the trace is one partial tile whatever its
+        // size: `tile × epochs` may overflow, the stream does not.
+        let huge_tile = GenSpec::parse("gen:tiled:3:18446744073709551615:5").unwrap();
+        assert_eq!(
+            collect(&huge_tile),
+            collect(&GenSpec::parse("gen:tiled:3:7:5").unwrap())
         );
     }
 

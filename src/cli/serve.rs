@@ -251,6 +251,75 @@ fn err_line(reason: &str) -> String {
     format!("ERR {reason}")
 }
 
+/// Longest request line either transport buffers, newline excluded: far
+/// above the longest legal request (~90 bytes, `MRCJ <64-char tenant>
+/// <u64>`) and any `#` comment header of a piped trace file. A longer line
+/// answers `ERR line too long`, its remaining bytes are skipped without
+/// being buffered up to the next newline, and the session carries on.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// One unit of input from a [`LineFramer`].
+enum Frame<'a> {
+    /// A complete line, newline stripped.
+    Line(&'a [u8]),
+    /// A line longer than [`MAX_LINE_BYTES`], already skipped.
+    TooLong,
+    /// End of input.
+    Eof,
+}
+
+/// Splits a byte stream into lines of at most [`MAX_LINE_BYTES`]. The
+/// state lives here, so a read that fails mid-line (the TCP transport's
+/// read timeout) resumes where it stopped: a partial line stays buffered
+/// whole, and an over-long line keeps being skipped.
+#[derive(Default)]
+struct LineFramer {
+    line: Vec<u8>,
+    /// `line` was handed out and is cleared by the next call.
+    handed_out: bool,
+    /// Skipping the rest of an over-long line.
+    skipping: bool,
+}
+
+impl LineFramer {
+    fn next_frame(&mut self, reader: &mut impl BufRead) -> std::io::Result<Frame<'_>> {
+        if std::mem::take(&mut self.handed_out) {
+            self.line.clear();
+        }
+        if !self.skipping {
+            // Room for the cap plus the newline itself.
+            let room = MAX_LINE_BYTES + 1 - self.line.len();
+            std::io::Read::take(&mut *reader, room as u64).read_until(b'\n', &mut self.line)?;
+            if self.line.len() <= MAX_LINE_BYTES || self.line.last() == Some(&b'\n') {
+                if self.line.is_empty() {
+                    return Ok(Frame::Eof);
+                }
+                // A final line may end at EOF without a newline.
+                self.handed_out = true;
+                let text = self.line.strip_suffix(b"\n").unwrap_or(&self.line);
+                return Ok(Frame::Line(text));
+            }
+            self.line.clear();
+            self.skipping = true;
+        }
+        reader.skip_until(b'\n')?;
+        self.skipping = false;
+        Ok(Frame::TooLong)
+    }
+}
+
+/// Handles one frame of either transport; `None` at end of input.
+fn handle_frame(daemon: &Mutex<Daemon>, session: &mut Session, frame: Frame<'_>) -> Option<Action> {
+    match frame {
+        Frame::Line(bytes) => Some(match std::str::from_utf8(bytes) {
+            Ok(line) => handle_line(daemon, session, line),
+            Err(_) => Action::Reply(err_line("line is not valid UTF-8")),
+        }),
+        Frame::TooLong => Some(Action::Reply(err_line("line too long"))),
+        Frame::Eof => None,
+    }
+}
+
 /// Renders one tenant's MRC answer. Derived from persisted estimator
 /// state only (histogram + log-spaced grid), so a daemon restarted from
 /// its checkpoint renders the byte-identical line.
@@ -411,12 +480,18 @@ fn summary(daemon: &Daemon, saved: Option<&str>) -> String {
 
 /// Runs one session over a reader, collecting responses. The stdin
 /// transport and the unit tests drive this directly.
-fn run_stdin_session(daemon: &Mutex<Daemon>, reader: impl BufRead) -> Result<String, CliError> {
+fn run_stdin_session(daemon: &Mutex<Daemon>, mut reader: impl BufRead) -> Result<String, CliError> {
     let mut session = Session::new();
+    let mut framer = LineFramer::default();
     let mut out = String::new();
-    for line in reader.lines() {
-        let line = line.map_err(|e| CliError(format!("cannot read stream: {e}")))?;
-        match handle_line(daemon, &mut session, &line) {
+    loop {
+        let frame = framer
+            .next_frame(&mut reader)
+            .map_err(|e| CliError(format!("cannot read stream: {e}")))?;
+        let Some(action) = handle_frame(daemon, &mut session, frame) else {
+            break;
+        };
+        match action {
             Action::Silent => {}
             Action::Reply(reply) => {
                 let _ = writeln!(out, "{reply}");
@@ -433,8 +508,8 @@ fn run_stdin_session(daemon: &Mutex<Daemon>, reader: impl BufRead) -> Result<Str
 
 /// One TCP connection: line in, response line out, until QUIT/EOF/
 /// shutdown. Read timeouts keep the thread polling the shutdown flag; the
-/// bytes of a line that straddles a timeout stay buffered until its
-/// newline arrives, so a slow client's line is never split in two.
+/// [`LineFramer`] keeps the bytes of a line that straddles a timeout until
+/// its newline arrives, so a slow client's line is never split in two.
 fn run_tcp_session(daemon: &Arc<Mutex<Daemon>>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
     let mut writer = match stream.try_clone() {
@@ -443,16 +518,13 @@ fn run_tcp_session(daemon: &Arc<Mutex<Daemon>>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(stream);
     let mut session = Session::new();
-    let mut line = Vec::new();
+    let mut framer = LineFramer::default();
     while !SHUTDOWN.load(Ordering::SeqCst) {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(_) if line.is_empty() => break, // EOF
-            Ok(_) => {
-                let action = match std::str::from_utf8(&line) {
-                    Ok(text) => handle_line(daemon, &mut session, text.trim_end_matches('\n')),
-                    Err(_) => Action::Reply(err_line("line is not valid UTF-8")),
+        match framer.next_frame(&mut reader) {
+            Ok(frame) => {
+                let Some(action) = handle_frame(daemon, &mut session, frame) else {
+                    break; // EOF
                 };
-                line.clear();
                 match action {
                     Action::Silent => {}
                     Action::Reply(reply) => {
@@ -643,6 +715,28 @@ mod tests {
         assert!(out.contains("OK wss a "), "{out}");
         assert!(out.contains("OK pong"), "{out}");
         assert_eq!(daemon.lock().unwrap().state.rejected(), 1);
+    }
+
+    #[test]
+    fn lines_at_the_length_cap_pass_and_longer_ones_answer_err() {
+        let daemon = daemon(64, 8, None);
+        let at_cap = format!("#{}", "x".repeat(MAX_LINE_BYTES - 1));
+        let over = "7".repeat(MAX_LINE_BYTES + 1);
+        // The last over-long line ends at EOF, without a newline.
+        let out = drive(
+            &daemon,
+            &format!("HELLO t\n{at_cap}\n{over}\n1\nWSS t\n{over}"),
+        );
+        let replies: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            replies,
+            [
+                "OK tenant t",
+                "ERR line too long",
+                "OK wss t 1",
+                "ERR line too long"
+            ]
+        );
     }
 
     #[test]

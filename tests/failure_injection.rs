@@ -879,3 +879,60 @@ fn cli_surfaces_errors_instead_of_panicking() {
     ]);
     assert!(err.is_err(), "cyclic constraints must be rejected");
 }
+
+#[test]
+fn gen_specs_whose_length_overflows_u64_are_rejected_by_name() {
+    use symmetric_locality::cli;
+    use symmetric_locality::trace::stream::TraceSource;
+    // `m × epochs` wraps to 0 here: the run must fail loudly instead of
+    // reporting an empty trace.
+    let args: Vec<String> = [
+        "trace",
+        "mrc",
+        "gen:cyclic:4294967296:4294967296",
+        "--exact",
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect();
+    let err = cli::run(&args).unwrap_err();
+    assert!(err.0.contains("overflows u64"), "{err}");
+    for spec in [
+        "gen:sawtooth:18446744073709551615:2",
+        "gen:strided:4294967296:3:4294967296",
+        "gen:tiled:4294967296:7:4294967296",
+    ] {
+        let err = TraceSource::parse(spec).unwrap_err();
+        assert!(err.contains("overflows u64"), "{spec}: {err}");
+    }
+}
+
+#[test]
+fn serve_lines_over_the_length_cap_answer_err_and_resync() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    // 1 MiB without a newline, then the newline, then a live request: the
+    // over-long line is one named error and the session carries on.
+    let mut script = b"HELLO t\n1\n".to_vec();
+    script.extend(std::iter::repeat_n(b'7', 1 << 20));
+    script.extend_from_slice(b"\nPING\nWSS t\n");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_symloc"))
+        .args(["serve", "--stdin"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn symloc serve --stdin");
+    let mut stdin = child.stdin.take().unwrap();
+    let feeder = std::thread::spawn(move || stdin.write_all(&script).expect("write script"));
+    let output = child.wait_with_output().expect("daemon exits");
+    feeder.join().unwrap();
+    assert!(output.status.success());
+    let out = String::from_utf8(output.stdout).unwrap();
+    let replies: Vec<&str> = out.lines().take(4).collect();
+    assert_eq!(
+        replies,
+        ["OK tenant t", "ERR line too long", "OK pong", "OK wss t 1"],
+        "{out:.200}"
+    );
+}

@@ -248,3 +248,43 @@ fn tcp_lines_split_across_a_read_timeout_stay_whole() {
     assert!(child.wait().expect("daemon exits").success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn tcp_over_long_lines_answer_err_and_the_session_resyncs() {
+    let dir = std::env::temp_dir().join(format!("symloc_serve_e2e_long_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut child, addr) = spawn_tcp(&dir.join("serve.ckpt.json"));
+    let stream = TcpStream::connect(&addr).expect("connect to daemon");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut send = |bytes: &[u8]| {
+        writer.write_all(bytes).expect("send bytes");
+        writer.flush().expect("flush bytes");
+    };
+    let mut reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read reply");
+        line.trim_end().to_string()
+    };
+
+    send(b"HELLO t\n");
+    assert_eq!(reply(), "OK tenant t");
+    // 1 MiB with no newline: the daemon must not buffer it, and the line
+    // it ends up being is one named error.
+    send(&vec![b'7'; 1 << 20]);
+    send(b"\n");
+    assert_eq!(reply(), "ERR line too long");
+    send(b"PING\n");
+    assert_eq!(reply(), "OK pong");
+    send(b"5\nWSS t\n");
+    assert_eq!(reply(), "OK wss t 1");
+    send(b"QUIT\n");
+
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(kill.success());
+    assert!(child.wait().expect("daemon exits").success());
+    std::fs::remove_dir_all(&dir).ok();
+}
