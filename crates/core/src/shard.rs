@@ -32,7 +32,7 @@
 //! ```
 
 use crate::engine::{SweepEngine, SweepLevel, SweepSpec};
-use crate::job::{self, Job, JobKind, JobRunner};
+use crate::job::{self, Job, JobKind};
 use crate::jsonio::JsonValue;
 use crate::model::CacheModel;
 use std::fmt::Write as _;
@@ -289,16 +289,6 @@ impl ShardedSweep {
             sweep.partials[i] = Some(levels);
         }
         Ok(sweep)
-    }
-
-    /// Writes the checkpoint to `path` atomically (temp file + rename) —
-    /// the shared [`JobRunner::save`] path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        JobRunner::save(self, path)
     }
 
     /// Loads a checkpoint from `path`, or plans a fresh sweep when the
@@ -642,16 +632,6 @@ impl SampledSweep {
         Ok(sweep)
     }
 
-    /// Writes the checkpoint to `path` atomically (temp file + rename) —
-    /// the shared [`JobRunner::save`] path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        JobRunner::save(self, path)
-    }
-
     /// Loads a checkpoint from `path`, or plans a fresh sampled sweep when
     /// the file does not exist or does not belong to the same
     /// `(spec, budget, min_per_level, seed)`. Returns the sweep and
@@ -758,7 +738,7 @@ fn parse_u64_array(value: Option<&JsonValue>, expected_len: usize) -> Option<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::RunOptions;
+    use crate::job::{JobRunner, RunOptions};
     use symloc_cache::setassoc::ReplacementPolicy;
 
     fn figure1_sweep(m: usize, shards: usize) -> ShardedSweep {
@@ -863,7 +843,7 @@ mod tests {
         let (mut sweep, resumed) = ShardedSweep::resume_or_new(spec, 4, 2, &path).unwrap();
         assert!(!resumed);
         run(&mut sweep, Some(2));
-        sweep.save(&path).unwrap();
+        JobRunner::save(&sweep, &path).unwrap();
 
         // On disk with progress: resumed.
         let (resumed_sweep, resumed) = ShardedSweep::resume_or_new(spec, 4, 2, &path).unwrap();
@@ -931,7 +911,7 @@ mod tests {
         ));
         let mut sampled = SampledSweep::new(SweepSpec::figure1(5), 50, 2, 1, 1);
         run(&mut sampled, Some(2));
-        sampled.save(&path).unwrap();
+        JobRunner::save(&sampled, &path).unwrap();
         let err = ShardedSweep::resume_or_new(SweepSpec::figure1(5), 4, 1, &path).unwrap_err();
         assert!(err.contains(SAMPLED_CHECKPOINT_KIND), "{err}");
         assert!(err.contains("exhaustive sharded sweep"), "{err}");

@@ -2,17 +2,17 @@
 //! any checkpoint file, `resume` continues it, both dispatching on the job
 //! kind the checkpoint itself records (the `core::job` registry).
 
+use super::batch::{run_and_report, BatchJob, Caller, RunSpec};
 use super::flags::{embed_json, write_metrics, CommandSpec, FlagSpec, JSON, METRICS, THREADS};
-use super::sweep::sweep_report;
-use super::tracecmd::{mrc_array, mrc_table};
+use super::tracecmd::DEFAULT_POINTS;
 use super::CliError;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use symloc_core::job::{checkpoint_status, Heartbeat, JobKind, JobRunner, JobStatus, RunOptions};
+use symloc_core::job::{checkpoint_status, Heartbeat, JobKind, JobStatus};
 use symloc_core::obs::MetricsRegistry;
 use symloc_core::shard::{SampledSweep, ShardedSweep};
-use symloc_core::tracesweep::{log_spaced_sizes, SampledIngest, TraceIngest};
+use symloc_core::tracesweep::{SampledIngest, TraceIngest};
 use symloc_par::default_threads;
 use symloc_trace::stream::TraceSource;
 
@@ -183,35 +183,24 @@ fn status_json(
     out
 }
 
-/// Renders a `job resume --json` completion report: the shared progress
-/// fields plus per-kind `extra` pairs whose values are raw JSON fragments
-/// (numbers, arrays or objects rendered by the caller), plus the run's
-/// metrics-registry snapshot.
-fn resume_json(
-    kind: JobKind,
-    fingerprint: &str,
-    ran: usize,
-    completed: usize,
-    total: usize,
-    extra: &[(&str, String)],
-    metrics: &MetricsRegistry,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"kind\": \"{kind}\",");
-    let _ = writeln!(
-        out,
-        "  \"fingerprint\": \"{}\",",
-        symloc_core::jsonio::escape(fingerprint)
+/// The JSON header keys of a `job resume` report: the job's kind,
+/// fingerprint and progress after running `ran` units.
+fn resume_head(job: &BatchJob, ran: usize) -> String {
+    let (completed, total) = job.progress();
+    let mut out = format!(
+        "  \"kind\": \"{}\",\n  \"fingerprint\": \"{}\",\n  \"complete\": {},\n  \
+         \"ran\": {ran},\n  \"completed\": {completed},\n  \"total\": {total},\n",
+        job.kind(),
+        symloc_core::jsonio::escape(&job.fingerprint()),
+        completed >= total
     );
-    let _ = writeln!(out, "  \"complete\": {},", completed >= total);
-    let _ = writeln!(out, "  \"ran\": {ran},");
-    let _ = writeln!(out, "  \"completed\": {completed},");
-    let _ = write!(out, "  \"total\": {total}");
-    for (key, value) in extra {
-        let _ = write!(out, ",\n  \"{key}\": {value}");
+    // A finished fused report carries `streamed` among its fields; an
+    // unfinished one reports the accesses streamed so far here.
+    if let BatchJob::Trace(ingest, _) = job {
+        if ingest.sampled_plan().is_some() && completed < total {
+            let _ = writeln!(out, "  \"streamed\": {},", ingest.streamed_accesses());
+        }
     }
-    let _ = write!(out, ",\n  \"metrics\": {}", embed_json(&metrics.to_json()));
-    out.push_str("\n}\n");
     out
 }
 
@@ -263,7 +252,7 @@ fn reopen_source(fingerprint: &str, recorded_total: u64) -> Result<TraceSource, 
 
 /// `symloc job resume <checkpoint>` — continues any registered checkpoint
 /// to completion (or `--max-units`), dispatching on its recorded kind, and
-/// prints the finished job's report.
+/// prints the report its originating command prints.
 ///
 /// # Errors
 ///
@@ -273,279 +262,61 @@ pub(crate) fn resume(args: &[String]) -> Result<String, CliError> {
     let Some(parsed) = JOB_RESUME.parse(args)? else {
         return Ok(JOB_RESUME.help());
     };
-    let path_str = parsed
-        .positional(0, "job resume", "a checkpoint file")?
-        .to_string();
-    let path = Path::new(&path_str);
-    let threads = parsed.usize(THREADS.name)?.unwrap_or_else(default_threads);
-    let limit = parsed.usize(MAX_UNITS.name)?;
-    let json = parsed.switch(JSON.name);
-    let metrics_path = parsed.value(METRICS.name);
-    let mut registry = MetricsRegistry::new();
+    let path = parsed.positional(0, "job resume", "a checkpoint file")?;
+    let run = RunSpec {
+        threads: parsed.usize(THREADS.name)?.unwrap_or_else(default_threads),
+        points: DEFAULT_POINTS,
+        limit: parsed.usize(MAX_UNITS.name)?,
+        checkpoint: Some(path),
+        json: parsed.switch(JSON.name),
+        metrics: parsed.value(METRICS.name),
+    };
+    let threads = run.threads;
     let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read checkpoint {path_str}: {e}")))?;
+        .map_err(|e| CliError(format!("cannot read checkpoint {path}: {e}")))?;
     // Sniff the kind only — each arm decodes the (possibly large)
-    // checkpoint exactly once and prints the banner from the decoded job.
+    // checkpoint exactly once.
     let kind = symloc_core::job::sniff_kind(&text).ok_or_else(|| {
         CliError(format!(
-            "cannot decode checkpoint {path_str}: not a registered symloc checkpoint"
+            "cannot decode checkpoint {path}: not a registered symloc checkpoint"
         ))
     })?;
-    let ckpt_err = |e: std::io::Error| CliError(format!("cannot write checkpoint {path_str}: {e}"));
-    // Every kind resumes through the one run entry point, checkpointing
-    // to the same file and metered into the report's registry.
-    let run_options = |registry| RunOptions {
-        limit,
-        checkpoint: Some(path),
-        metrics: Some(registry),
-        on_batch: None,
-    };
-
-    let mut out = String::new();
-    let banner = |out: &mut String, fingerprint: &str, completed: usize, total: usize| {
-        let _ = writeln!(
-            out,
-            "resuming {} — {fingerprint} ({completed} of {total} {}s already done)",
-            kind.describe(),
-            kind.unit_name()
-        );
-    };
-    match kind {
+    let job = match kind {
         JobKind::ShardedSweep => {
-            let mut sweep = ShardedSweep::from_json(&text, threads).map_err(CliError)?;
-            banner(
-                &mut out,
-                &sweep.spec().fingerprint(),
-                sweep.completed_count(),
-                sweep.shard_count(),
-            );
-            let ran = JobRunner::run(&mut sweep, run_options(&mut registry)).map_err(ckpt_err)?;
-            if json {
-                write_metrics(metrics_path, &registry)?;
-                return Ok(resume_json(
-                    kind,
-                    &sweep.spec().fingerprint(),
-                    ran,
-                    sweep.completed_count(),
-                    sweep.shard_count(),
-                    &[],
-                    &registry,
-                ));
-            }
-            let _ = writeln!(
-                out,
-                "ran {ran} shard(s); {} of {} complete; checkpoint saved to {path_str}",
-                sweep.completed_count(),
-                sweep.shard_count()
-            );
-            match sweep.merged_levels() {
-                Some(levels) => out.push_str(&sweep_report(sweep.spec(), &levels, false)),
-                None => {
-                    let _ = writeln!(out, "sweep incomplete — re-run to continue");
-                }
-            }
+            BatchJob::Sweep(ShardedSweep::from_json(&text, threads).map_err(CliError)?)
         }
         JobKind::SampledSweep => {
-            let mut sweep = SampledSweep::from_json(&text, threads).map_err(CliError)?;
-            banner(
-                &mut out,
-                &sweep.spec().fingerprint(),
-                sweep.completed_count(),
-                sweep.level_count(),
-            );
-            let ran = JobRunner::run(&mut sweep, run_options(&mut registry)).map_err(ckpt_err)?;
-            if json {
-                write_metrics(metrics_path, &registry)?;
-                return Ok(resume_json(
-                    kind,
-                    &sweep.spec().fingerprint(),
-                    ran,
-                    sweep.completed_count(),
-                    sweep.level_count(),
-                    &[],
-                    &registry,
-                ));
-            }
-            let _ = writeln!(
-                out,
-                "ran {ran} level(s); {} of {} complete; checkpoint saved to {path_str}",
-                sweep.completed_count(),
-                sweep.level_count()
-            );
-            match sweep.merged_levels() {
-                Some(levels) => out.push_str(&sweep_report(sweep.spec(), &levels, true)),
-                None => {
-                    let _ = writeln!(out, "sweep incomplete — re-run to continue");
-                }
-            }
+            BatchJob::SampledSweep(SampledSweep::from_json(&text, threads).map_err(CliError)?)
         }
         JobKind::TraceIngest | JobKind::FusedIngest => {
-            let mut ingest = TraceIngest::from_json(&text, threads).map_err(CliError)?;
-            banner(
-                &mut out,
-                ingest.fingerprint(),
-                ingest.completed_count(),
-                ingest.chunk_count(),
-            );
+            let ingest = TraceIngest::from_json(&text, threads).map_err(CliError)?;
             let source = reopen_source(ingest.fingerprint(), ingest.total_accesses())?;
-            let ran = ingest
-                .run(&source, run_options(&mut registry))
-                .map_err(ckpt_err)?;
-            let fused = ingest.sampled_plan().is_some();
-            let finished = ingest.histogram().map(|h| {
-                let footprint = usize::try_from(h.cold_count()).unwrap_or(usize::MAX);
-                let points = h.mrc_points(&log_spaced_sizes(footprint, 16));
-                (h.accesses(), footprint, points)
-            });
-            let sampled = ingest.sampled_summary().map(|summary| {
-                let est = summary.estimated_footprint().round().max(1.0) as usize;
-                let points = summary.histogram.mrc_points(&log_spaced_sizes(est, 16));
-                (summary.min_rate, est, points)
-            });
-            if json {
-                let mut extra = Vec::new();
-                if fused {
-                    extra.push(("streamed", ingest.streamed_accesses().to_string()));
-                }
-                if let Some((accesses, footprint, points)) = &finished {
-                    extra.push(("accesses", accesses.to_string()));
-                    match &sampled {
-                        None => {
-                            extra.push(("footprint", footprint.to_string()));
-                            extra.push(("mrc", mrc_array(points)));
-                        }
-                        Some((min_rate, est, sampled_points)) => {
-                            extra.push((
-                                "exact",
-                                format!(
-                                    "{{\"footprint\": {footprint}, \"mrc\": {}}}",
-                                    mrc_array(points)
-                                ),
-                            ));
-                            extra.push((
-                                "sampled",
-                                format!(
-                                    "{{\"footprint\": {est}, \"min_rate\": {min_rate}, \"mrc\": {}}}",
-                                    mrc_array(sampled_points)
-                                ),
-                            ));
-                        }
-                    }
-                }
-                write_metrics(metrics_path, &registry)?;
-                return Ok(resume_json(
-                    kind,
-                    ingest.fingerprint(),
-                    ran,
-                    ingest.completed_count(),
-                    ingest.chunk_count(),
-                    &extra,
-                    &registry,
-                ));
-            }
-            let _ = writeln!(
-                out,
-                "ran {ran} chunk(s); {} of {} complete; checkpoint saved to {path_str}",
-                ingest.completed_count(),
-                ingest.chunk_count()
-            );
-            match (finished, sampled) {
-                (Some((accesses, footprint, points)), None) => {
-                    let _ = writeln!(out, "accesses            : {accesses}");
-                    let _ = writeln!(out, "footprint           : {footprint}");
-                    out.push_str(&mrc_table(&points));
-                }
-                (Some((accesses, footprint, points)), Some((_, est, sampled_points))) => {
-                    let _ = writeln!(out, "accesses            : {accesses}");
-                    let _ = writeln!(
-                        out,
-                        "streamed            : {} (each access decoded once)",
-                        ingest.streamed_accesses()
-                    );
-                    let _ = writeln!(out, "exact footprint     : {footprint}");
-                    out.push_str(&mrc_table(&points));
-                    let _ = writeln!(out, "sampled footprint   : ~{est} (estimated)");
-                    out.push_str(&mrc_table(&sampled_points));
-                }
-                _ => {
-                    let what = if fused { "fused ingest" } else { "ingest" };
-                    let _ = writeln!(out, "{what} incomplete — re-run to continue");
-                }
-            }
+            BatchJob::Trace(Box::new(ingest), source)
         }
         JobKind::SampledIngest => {
-            let mut ingest = SampledIngest::from_json(&text, threads).map_err(CliError)?;
-            banner(
-                &mut out,
-                ingest.fingerprint(),
-                ingest.completed_count(),
-                ingest.shard_count(),
-            );
+            let ingest = SampledIngest::from_json(&text, threads).map_err(CliError)?;
             let source = reopen_source(ingest.fingerprint(), ingest.total_accesses())?;
-            let ran = ingest
-                .run(&source, run_options(&mut registry))
-                .map_err(ckpt_err)?;
-            if json {
-                let mut extra = Vec::new();
-                if let Some(summary) = ingest.merged() {
-                    let footprint = summary.estimated_footprint().round().max(1.0) as usize;
-                    extra.push(("accesses", summary.raw_accesses.to_string()));
-                    extra.push(("footprint", footprint.to_string()));
-                    extra.push((
-                        "mrc",
-                        mrc_array(
-                            &summary
-                                .histogram
-                                .mrc_points(&log_spaced_sizes(footprint, 16)),
-                        ),
-                    ));
-                }
-                write_metrics(metrics_path, &registry)?;
-                return Ok(resume_json(
-                    kind,
-                    ingest.fingerprint(),
-                    ran,
-                    ingest.completed_count(),
-                    ingest.shard_count(),
-                    &extra,
-                    &registry,
-                ));
-            }
-            let _ = writeln!(
-                out,
-                "ran {ran} hash shard(s); {} of {} complete; checkpoint saved to {path_str}",
-                ingest.completed_count(),
-                ingest.shard_count()
-            );
-            match ingest.merged() {
-                Some(summary) => {
-                    let footprint = summary.estimated_footprint().round().max(1.0) as usize;
-                    let _ = writeln!(out, "accesses            : {}", summary.raw_accesses);
-                    let _ = writeln!(out, "footprint           : ~{footprint} (estimated)");
-                    out.push_str(&mrc_table(
-                        &summary
-                            .histogram
-                            .mrc_points(&log_spaced_sizes(footprint, 16)),
-                    ));
-                }
-                None => {
-                    let _ = writeln!(out, "sampled ingest incomplete — re-run to continue");
-                }
-            }
+            BatchJob::SampledTrace(ingest, source)
         }
         JobKind::ServeState => {
             // A serve checkpoint is a daemon snapshot, not a batch with
             // remaining units — there is nothing for `job resume` to run.
             return Err(CliError(format!(
-                "checkpoint {path_str} holds a {} — it has no pending batch work; \
-                 restart the daemon with `symloc serve --checkpoint {path_str}` to \
+                "checkpoint {path} holds a {} — it has no pending batch work; \
+                 restart the daemon with `symloc serve --checkpoint {path}` to \
                  resume its tenants",
                 kind.describe()
             )));
         }
-    }
-    write_metrics(metrics_path, &registry)?;
-    Ok(out)
+    };
+    let (completed, total) = job.progress();
+    let banner = format!(
+        "resuming {} — {} ({completed} of {total} {}s already done)\n",
+        kind.describe(),
+        job.fingerprint(),
+        kind.unit_name()
+    );
+    run_and_report(job, Caller::Resume { head: resume_head }, &run, banner)
 }
 
 /// Dispatches the `symloc job <status|resume>` subcommands.
@@ -644,7 +415,12 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(tail(&finished), tail(&direct));
+        // ... and the originating command's finished section.
+        let (rpath, rpath_str) = tmp("sweep_ref.json");
+        let reference = sweep(&sargs(&format!("6 --shards 4 --checkpoint {rpath_str}"))).unwrap();
+        assert_eq!(tail(&finished), tail(&reference));
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&rpath).ok();
     }
 
     #[test]
@@ -662,15 +438,18 @@ mod tests {
         let finished = job(&sargs(&format!("resume {path_str}"))).unwrap();
         assert!(finished.contains("22 of 22 complete"), "{finished}");
         let direct = sweep(&sargs("7 --samples 200 --seed 3")).unwrap();
-        // The sweep command appends its sampling-plan line after the table;
-        // the job resume report ends at the table.
+        // The finished section, sampling-plan line included, is the sweep
+        // command's.
         let tail = |s: &str| {
             s.lines()
                 .skip_while(|l| !l.starts_with("sweep of"))
-                .take_while(|l| !l.starts_with("stratified sampling"))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
+        assert!(
+            tail(&finished).contains("stratified sampling"),
+            "{finished}"
+        );
         assert_eq!(tail(&finished), tail(&direct));
         std::fs::remove_file(&path).ok();
     }
@@ -696,6 +475,15 @@ mod tests {
             "{finished}"
         );
         assert!(finished.contains("miss ratio"), "{finished}");
+        // From the `accesses` line down it is the trace command's report.
+        let tail = |s: &str| {
+            s.lines()
+                .skip_while(|l| !l.starts_with("accesses"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let direct = trace_mrc(&sargs("gen:zipf:60:2000:0.8:3 --shards 6 --threads 2")).unwrap();
+        assert_eq!(tail(&finished), tail(&direct));
 
         // Sampled hash-sharded ingest round-trips the same way, and the
         // finished checkpoint matches the one the trace command writes.
@@ -713,11 +501,12 @@ mod tests {
         assert!(finished.contains("4 of 4 complete"), "{finished}");
         let via_job = std::fs::read_to_string(&spath).unwrap();
         let (rpath, rpath_str) = tmp("sampled_ingest_ref.json");
-        trace_mrc(&sargs(&format!(
+        let reference = trace_mrc(&sargs(&format!(
             "gen:zipf:200:4000:0.8:5 --sample 64 --shards 4 --checkpoint {rpath_str}"
         )))
         .unwrap();
         assert_eq!(via_job, std::fs::read_to_string(&rpath).unwrap());
+        assert_eq!(tail(&finished), tail(&reference));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&spath).ok();
         std::fs::remove_file(&rpath).ok();
@@ -752,11 +541,20 @@ mod tests {
         // in a single uninterrupted run.
         let via_job = std::fs::read_to_string(&path).unwrap();
         let (rpath, rpath_str) = tmp("fused_ingest_ref.json");
-        trace_mrc(&sargs(&format!(
-            "gen:zipf:200:4000:0.8:5 --exact --sample 64 --shards 4 --checkpoint {rpath_str}"
+        let reference = trace_mrc(&sargs(&format!(
+            "gen:zipf:200:4000:0.8:5 --exact --sample 64 --shards 4 --threads 2 \
+             --checkpoint {rpath_str}"
         )))
         .unwrap();
         assert_eq!(via_job, std::fs::read_to_string(&rpath).unwrap());
+        // ... and so is the report, from the `accesses` line down.
+        let tail = |s: &str| {
+            s.lines()
+                .skip_while(|l| !l.starts_with("accesses"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(tail(&finished), tail(&reference));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&rpath).ok();
     }
@@ -797,29 +595,70 @@ mod tests {
             let mrc = curve.get("mrc").and_then(JsonValue::as_array).unwrap();
             assert!(!mrc.is_empty(), "{engine} curve empty");
         }
-        assert!(doc
-            .get("sampled")
-            .unwrap()
+        let sampled = doc.get("sampled").unwrap();
+        assert!(sampled
             .get("min_rate")
             .and_then(JsonValue::as_f64)
             .is_some());
+        assert_eq!(
+            sampled.get("footprint_estimated"),
+            Some(&JsonValue::Bool(true))
+        );
         std::fs::remove_file(&path).ok();
 
-        // A sweep kind emits the shared progress fields too.
-        let (spath, spath_str) = tmp("sweep_json.json");
-        sweep(&sargs(&format!(
-            "6 --shards 4 --max-shards 2 --checkpoint {spath_str}"
-        )))
-        .unwrap();
-        let finished = job(&sargs(&format!("resume {spath_str} --json"))).unwrap();
-        let doc = jsonio::parse(&finished).unwrap();
-        assert_eq!(
-            doc.get("kind").and_then(JsonValue::as_str),
-            Some("symloc_sweep_checkpoint")
-        );
-        assert_eq!(doc.get("complete"), Some(&JsonValue::Bool(true)));
-        assert_eq!(doc.get("ran").and_then(JsonValue::as_u64), Some(2));
-        std::fs::remove_file(&spath).ok();
+        // Every other kind: run two units of the originating command, resume
+        // with --json, and compare with the command's own --json report.
+        type Command = fn(&[String]) -> Result<String, CliError>;
+        let resumed = |name: &str, run: Command, plan: &str, stop: &str| {
+            let (path, path_str) = tmp(name);
+            run(&sargs(&format!("{plan} --checkpoint {path_str} {stop} 2"))).unwrap();
+            let report = job(&sargs(&format!("resume {path_str} --json"))).unwrap();
+            std::fs::remove_file(&path).ok();
+            let doc = jsonio::parse(&report).unwrap();
+            assert_eq!(doc.get("complete"), Some(&JsonValue::Bool(true)));
+            let units = |key| doc.get(key).and_then(JsonValue::as_u64).unwrap();
+            assert_eq!(units("ran") + 2, units("total"), "{name}");
+            let direct = jsonio::parse(&run(&sargs(&format!("{plan} --json"))).unwrap()).unwrap();
+            (doc, direct)
+        };
+        // Sweeps print the `levels` array of `sweep --json`.
+        for (name, plan, kind) in [
+            ("sweep_json.json", "6 --shards 4", "symloc_sweep_checkpoint"),
+            (
+                "sampled_sweep_json.json",
+                "7 --samples 200 --seed 3",
+                "symloc_sampled_sweep_checkpoint",
+            ),
+        ] {
+            let (doc, direct) = resumed(name, sweep, plan, "--max-shards");
+            assert_eq!(doc.get("kind").and_then(JsonValue::as_str), Some(kind));
+            assert!(doc.get("levels").is_some(), "{name}: levels missing");
+            assert_eq!(doc.get("levels"), direct.get("levels"), "{name}");
+        }
+        // Single-curve trace kinds print the `trace mrc --json` curve.
+        for (name, plan, estimated) in [
+            (
+                "ingest_json.json",
+                "gen:zipf:60:2000:0.8:3 --shards 6",
+                false,
+            ),
+            (
+                "sampled_ingest_json.json",
+                "gen:zipf:200:4000:0.8:5 --sample 64 --shards 4",
+                true,
+            ),
+        ] {
+            let (doc, direct) = resumed(name, trace_mrc, plan, "--max-chunks");
+            assert_eq!(
+                doc.get("footprint_estimated"),
+                Some(&JsonValue::Bool(estimated)),
+                "{name}"
+            );
+            assert!(doc.get("mrc").is_some(), "{name}: mrc missing");
+            for key in ["accesses", "footprint", "mrc"] {
+                assert_eq!(doc.get(key), direct.get(key), "{name}: {key}");
+            }
+        }
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //! `--checkpoint`, `--json` — uniformly across commands, generates each
 //! command's `--help` text from the table, and rejects unknown flags with a
 //! pointer to it. Command implementations live in per-command modules
-//! (`basic`, `sweep`, `tracecmd`, `job`) and return their report as a
+//! (`basic`, `sweep`, `tracecmd`, `job`; `batch` is the run-and-report
+//! driver the resumable ones share) and return their report as a
 //! `String` (unit-tested that way); the thin binary in `src/bin/symloc.rs`
 //! only parses `std::env::args` and prints.
 
 mod basic;
+mod batch;
 mod flags;
 mod job;
 mod partition;

@@ -1,15 +1,15 @@
 //! `symloc sweep` — exhaustive or stratified-sampled sweeps over `S_m`,
 //! resumable through the `core::job` checkpoints.
 
+use super::batch::{json_report, run_and_report, BatchJob, Caller, Finished, RunSpec};
 use super::flags::{
-    embed_json, write_metrics, CommandSpec, FlagSpec, CHECKPOINT, JSON, METRICS, SEED, THREADS,
+    write_metrics, CommandSpec, FlagSpec, CHECKPOINT, JSON, METRICS, SEED, THREADS,
 };
 use super::{help_requested, CliError};
 use std::fmt::Write as _;
 use std::path::Path;
 
 use symloc_core::engine::{SweepEngine, SweepLevel, SweepSpec};
-use symloc_core::job::{JobRunner, RunOptions};
 use symloc_core::model::CacheModel;
 use symloc_core::obs::{MetricsRegistry, Span};
 use symloc_core::shard::{SampledSweep, ShardedSweep};
@@ -176,20 +176,18 @@ pub(crate) fn sweep_report(spec: SweepSpec, levels: &[SweepLevel], sampled: bool
     out
 }
 
-/// Renders a finished sweep as a JSON document (exact integer sums, so the
-/// output is loss-free and machine-diffable), with the run's
-/// metrics-registry snapshot attached.
-pub(crate) fn sweep_json(
-    spec: SweepSpec,
-    levels: &[SweepLevel],
-    sampled: bool,
-    metrics: &MetricsRegistry,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"fingerprint\": \"{}\",", spec.fingerprint());
-    let _ = writeln!(out, "  \"sampled\": {sampled},");
-    let _ = writeln!(out, "  \"complete\": true,");
-    out.push_str("  \"levels\": [\n");
+/// The JSON header keys of a sweep report.
+pub(crate) fn sweep_head(spec: SweepSpec, sampled: bool, complete: bool) -> String {
+    format!(
+        "  \"fingerprint\": \"{}\",\n  \"sampled\": {sampled},\n  \"complete\": {complete},\n",
+        spec.fingerprint()
+    )
+}
+
+/// The `levels` JSON field of a finished sweep (exact integer sums, so
+/// the output is loss-free and machine-diffable).
+pub(crate) fn levels_fields(levels: &[SweepLevel]) -> String {
+    let mut out = String::from("  \"levels\": [\n");
     for (i, level) in levels.iter().enumerate() {
         let sep = if i + 1 < levels.len() { "," } else { "" };
         let sums: Vec<String> = level.hit_sums.iter().map(u64::to_string).collect();
@@ -204,28 +202,17 @@ pub(crate) fn sweep_json(
         );
     }
     out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"metrics\": {}", embed_json(&metrics.to_json()));
-    out.push_str("}\n");
     out
 }
 
-/// Renders an in-progress checkpointed sweep as a JSON document.
-fn sweep_progress_json(
-    spec: SweepSpec,
-    sampled: bool,
-    completed: usize,
-    total: usize,
-    metrics: &MetricsRegistry,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"fingerprint\": \"{}\",", spec.fingerprint());
-    let _ = writeln!(out, "  \"sampled\": {sampled},");
-    let _ = writeln!(out, "  \"complete\": false,");
-    let _ = writeln!(out, "  \"completed\": {completed},");
-    let _ = writeln!(out, "  \"total\": {total},");
-    let _ = writeln!(out, "  \"metrics\": {}", embed_json(&metrics.to_json()));
-    out.push_str("}\n");
-    out
+/// The plan line a sampled sweep prints under its level table.
+pub(crate) fn sampling_line(spec: SweepSpec, budget: usize, seed: u64) -> String {
+    let weights = match spec.statistic {
+        Statistic::Descents => "Eulerian",
+        Statistic::TotalDisplacement => "footrule",
+        _ => "Mahonian",
+    };
+    format!("stratified sampling: budget {budget} distributed by {weights} weights (seed {seed})")
 }
 
 /// `symloc sweep <m> [flags]` — generalized sweep over `S_m`: exhaustive
@@ -242,172 +229,67 @@ pub fn sweep(args: &[String]) -> Result<String, CliError> {
     }
     let options = parse_sweep_options(args)?;
     let spec = options.spec;
+
+    // A checkpointed sweep shards the rank space (exhaustive) or the level
+    // space (sampled: each level's aggregate is deterministic on its own,
+    // so completed levels are exact partial progress).
+    if let Some(checkpoint) = &options.checkpoint {
+        let path = Path::new(checkpoint);
+        let (job, resumed) = match options.samples {
+            Some(budget) => {
+                let (sweep, resumed) = SampledSweep::resume_or_new(
+                    spec,
+                    budget,
+                    2,
+                    options.seed,
+                    options.threads,
+                    path,
+                )
+                .map_err(CliError)?;
+                (BatchJob::SampledSweep(sweep), resumed)
+            }
+            None => {
+                let (sweep, resumed) =
+                    ShardedSweep::resume_or_new(spec, options.shards, options.threads, path)
+                        .map_err(CliError)?;
+                (BatchJob::Sweep(sweep), resumed)
+            }
+        };
+        let run = RunSpec {
+            threads: options.threads,
+            points: 0,
+            limit: options.max_shards,
+            checkpoint: Some(checkpoint),
+            json: options.json,
+            metrics: options.metrics.as_deref(),
+        };
+        return run_and_report(job, Caller::Command { resumed }, &run, String::new());
+    }
+
     let engine = SweepEngine::with_threads(spec.m, options.threads);
     let mut registry = MetricsRegistry::new();
-    // A checkpointed sweep runs through the one job entry point, bounded by
-    // --max-shards and metered into the report's registry.
-    let run_options = |path, registry| RunOptions {
-        limit: options.max_shards,
-        checkpoint: Some(path),
-        metrics: Some(registry),
-        on_batch: None,
+    let span = Span::start();
+    let levels = match options.samples {
+        Some(budget) => {
+            engine.sampled_levels_weighted(spec.statistic, spec.model, budget, 2, options.seed)
+        }
+        None => engine.sweep_levels(spec.statistic, spec.model),
     };
-
-    if let Some(budget) = options.samples {
-        let weights = match spec.statistic {
-            Statistic::Descents => "Eulerian",
-            Statistic::TotalDisplacement => "footrule",
-            _ => "Mahonian",
-        };
-        let sampling_line = format!(
-            "stratified sampling: budget {budget} distributed by {weights} weights (seed {})",
-            options.seed
-        );
-
-        // Checkpointed sampled sweeps shard the level space: each level's
-        // aggregate is deterministic on its own, so completed levels are
-        // exact partial progress.
-        if let Some(checkpoint) = &options.checkpoint {
-            let path = Path::new(checkpoint);
-            let (mut sampled, resumed) =
-                SampledSweep::resume_or_new(spec, budget, 2, options.seed, options.threads, path)
-                    .map_err(CliError)?;
-            let already = sampled.completed_count();
-            let stale_on_disk = !resumed && path.exists();
-            let ran = JobRunner::run(&mut sampled, run_options(path, &mut registry))
-                .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
-            write_metrics(options.metrics.as_deref(), &registry)?;
-            if options.json {
-                return Ok(match sampled.merged_levels() {
-                    Some(levels) => sweep_json(spec, &levels, true, &registry),
-                    None => sweep_progress_json(
-                        spec,
-                        true,
-                        sampled.completed_count(),
-                        sampled.level_count(),
-                        &registry,
-                    ),
-                });
-            }
-            let mut out = String::new();
-            if resumed {
-                let _ = writeln!(
-                    out,
-                    "resumed from {checkpoint}: {already} of {} levels were already done",
-                    sampled.level_count()
-                );
-            } else if stale_on_disk {
-                // A same-kind checkpoint was on disk but did not match this
-                // plan — say so, like the trace paths, since the save above
-                // already overwrote it.
-                let _ = writeln!(
-                    out,
-                    "warning: existing checkpoint {checkpoint} did not match this sweep \
-                     ({}, budget {budget}, seed {}); started fresh and overwrote it",
-                    spec.fingerprint(),
-                    options.seed
-                );
-            }
-            let _ = writeln!(
-                out,
-                "ran {ran} level(s); {} of {} complete; checkpoint saved to {checkpoint}",
-                sampled.completed_count(),
-                sampled.level_count()
-            );
-            match sampled.merged_levels() {
-                Some(levels) => {
-                    out.push_str(&sweep_report(spec, &levels, true));
-                    let _ = writeln!(out, "{sampling_line}");
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "sweep incomplete — re-run the same command to continue from the checkpoint"
-                    );
-                }
-            }
-            return Ok(out);
-        }
-
-        let span = Span::start();
-        let levels =
-            engine.sampled_levels_weighted(spec.statistic, spec.model, budget, 2, options.seed);
-        registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-        span.record(&mut registry, "sweep.total_nanos");
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        if options.json {
-            return Ok(sweep_json(spec, &levels, true, &registry));
-        }
-        let mut out = sweep_report(spec, &levels, true);
-        let _ = writeln!(out, "{sampling_line}");
-        return Ok(out);
-    }
-
-    let Some(checkpoint) = &options.checkpoint else {
-        let span = Span::start();
-        let levels = engine.sweep_levels(spec.statistic, spec.model);
-        registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
-        span.record(&mut registry, "sweep.total_nanos");
-        write_metrics(options.metrics.as_deref(), &registry)?;
-        if options.json {
-            return Ok(sweep_json(spec, &levels, false, &registry));
-        }
-        return Ok(sweep_report(spec, &levels, false));
-    };
-
-    let path = Path::new(checkpoint);
-    let (mut sharded, resumed) =
-        ShardedSweep::resume_or_new(spec, options.shards, options.threads, path)
-            .map_err(CliError)?;
-    let already = sharded.completed_count();
-    let stale_on_disk = !resumed && path.exists();
-    let ran = JobRunner::run(&mut sharded, run_options(path, &mut registry))
-        .map_err(|e| CliError(format!("cannot write checkpoint {checkpoint}: {e}")))?;
+    registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
+    span.record(&mut registry, "sweep.total_nanos");
     write_metrics(options.metrics.as_deref(), &registry)?;
+    let finished = Finished::Levels {
+        spec,
+        levels,
+        sampling: options
+            .samples
+            .map(|budget| sampling_line(spec, budget, options.seed)),
+    };
     if options.json {
-        return Ok(match sharded.merged_levels() {
-            Some(levels) => sweep_json(spec, &levels, false, &registry),
-            None => sweep_progress_json(
-                spec,
-                false,
-                sharded.completed_count(),
-                sharded.shard_count(),
-                &registry,
-            ),
-        });
+        let head = sweep_head(spec, options.samples.is_some(), true);
+        return Ok(json_report(&(head + &finished.fields()), &registry));
     }
-    let mut out = String::new();
-    if resumed {
-        let _ = writeln!(
-            out,
-            "resumed from {checkpoint}: {already} of {} shards were already done",
-            sharded.shard_count()
-        );
-    } else if stale_on_disk {
-        let _ = writeln!(
-            out,
-            "warning: existing checkpoint {checkpoint} did not match this sweep \
-             ({}, {} shards); started fresh and overwrote it",
-            spec.fingerprint(),
-            options.shards
-        );
-    }
-    let _ = writeln!(
-        out,
-        "ran {ran} shard(s); {} of {} complete; checkpoint saved to {checkpoint}",
-        sharded.completed_count(),
-        sharded.shard_count()
-    );
-    match sharded.merged_levels() {
-        Some(levels) => out.push_str(&sweep_report(spec, &levels, false)),
-        None => {
-            let _ = writeln!(
-                out,
-                "sweep incomplete — re-run the same command to continue from the checkpoint"
-            );
-        }
-    }
-    Ok(out)
+    Ok(finished.text())
 }
 
 #[cfg(test)]

@@ -2,18 +2,15 @@
 //! resumable), `convert` (format conversion + sidecar chunk indexes) and
 //! `index` (build the sidecar for an existing file).
 
-use super::flags::{
-    embed_json, write_metrics, CommandSpec, FlagSpec, CHECKPOINT, JSON, METRICS, THREADS,
-};
+use super::batch::{json_report, run_and_report, BatchJob, Caller, Curve, Finished, RunSpec};
+use super::flags::{write_metrics, CommandSpec, FlagSpec, CHECKPOINT, JSON, METRICS, THREADS};
 use super::{help_requested, CliError};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use symloc_core::job::RunOptions;
 use symloc_core::obs::{MetricsRegistry, Span};
 use symloc_core::tracesweep::{
-    log_spaced_sizes, MrcPoint, OnlineReuseEngine, SampledIngest, SampledPlan, ShardsEstimator,
-    StreamHistogram, TraceIngest,
+    MrcPoint, OnlineReuseEngine, SampledIngest, SampledPlan, ShardsEstimator, TraceIngest,
 };
 use symloc_par::default_threads;
 use symloc_trace::binio::{
@@ -55,6 +52,9 @@ const INTERVAL: FlagSpec = FlagSpec::value(
     "N",
     "accesses between indexed offsets (default 4096)",
 );
+
+/// MRC evaluation points when `--points` is not given.
+pub(crate) const DEFAULT_POINTS: usize = 16;
 
 /// `symloc trace mrc` command table.
 pub(crate) const TRACE_MRC: CommandSpec = CommandSpec {
@@ -147,7 +147,7 @@ pub fn parse_trace_mrc_options(args: &[String]) -> Result<TraceMrcOptions, CliEr
         shards: shards.unwrap_or(8),
         sample_shards: shards.unwrap_or(1),
         threads: parsed.usize(THREADS.name)?.unwrap_or_else(default_threads),
-        points: parsed.usize(POINTS.name)?.unwrap_or(16),
+        points: parsed.usize(POINTS.name)?.unwrap_or(DEFAULT_POINTS),
         checkpoint: parsed.value(CHECKPOINT.name).map(ToString::to_string),
         max_chunks: parsed.usize(MAX_CHUNKS.name)?,
         json: parsed.switch(JSON.name),
@@ -228,91 +228,17 @@ pub(crate) fn mrc_array(points: &[MrcPoint]) -> String {
     out
 }
 
-/// Renders a finished MRC analysis as a JSON document, with the run's
-/// metrics-registry snapshot attached.
-fn mrc_json(
-    source: &TraceSource,
-    engine: &str,
-    accesses: u64,
-    footprint: usize,
-    estimated: bool,
-    points: &[MrcPoint],
-    metrics: &MetricsRegistry,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"source\": \"{}\",",
+/// The JSON header keys of a trace report: `engine` names the engine of a
+/// finished run, `None` marks an unfinished one.
+pub(crate) fn trace_head(source: &TraceSource, engine: Option<&str>) -> String {
+    let mut out = format!(
+        "  \"source\": \"{}\",\n",
         symloc_core::jsonio::escape(&source.fingerprint())
     );
-    let _ = writeln!(out, "  \"engine\": \"{engine}\",");
-    let _ = writeln!(out, "  \"complete\": true,");
-    let _ = writeln!(out, "  \"accesses\": {accesses},");
-    let _ = writeln!(out, "  \"footprint\": {footprint},");
-    let _ = writeln!(out, "  \"footprint_estimated\": {estimated},");
-    let _ = writeln!(out, "  \"mrc\": {},", mrc_array(points));
-    let _ = writeln!(out, "  \"metrics\": {}", embed_json(&metrics.to_json()));
-    out.push_str("}\n");
-    out
-}
-
-/// Renders a finished fused run — both curves — as one JSON document.
-#[allow(clippy::too_many_arguments)]
-fn fused_mrc_json(
-    source: &TraceSource,
-    accesses: u64,
-    streamed: u64,
-    footprint: usize,
-    exact_points: &[MrcPoint],
-    est_footprint: usize,
-    min_rate: f64,
-    sampled_points: &[MrcPoint],
-    metrics: &MetricsRegistry,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"source\": \"{}\",",
-        symloc_core::jsonio::escape(&source.fingerprint())
-    );
-    let _ = writeln!(out, "  \"engine\": \"fused_exact_sampled\",");
-    let _ = writeln!(out, "  \"complete\": true,");
-    let _ = writeln!(out, "  \"accesses\": {accesses},");
-    let _ = writeln!(out, "  \"streamed\": {streamed},");
-    let _ = writeln!(
-        out,
-        "  \"exact\": {{\"footprint\": {footprint}, \"mrc\": {}}},",
-        mrc_array(exact_points)
-    );
-    let _ = writeln!(
-        out,
-        "  \"sampled\": {{\"footprint\": {est_footprint}, \"footprint_estimated\": true, \
-         \"min_rate\": {min_rate}, \"mrc\": {}}},",
-        mrc_array(sampled_points)
-    );
-    let _ = writeln!(out, "  \"metrics\": {}", embed_json(&metrics.to_json()));
-    out.push_str("}\n");
-    out
-}
-
-/// Renders an in-progress checkpointed ingest as a JSON document.
-fn mrc_progress_json(
-    source: &TraceSource,
-    completed: usize,
-    total: usize,
-    metrics: &MetricsRegistry,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "  \"source\": \"{}\",",
-        symloc_core::jsonio::escape(&source.fingerprint())
-    );
-    let _ = writeln!(out, "  \"complete\": false,");
-    let _ = writeln!(out, "  \"completed\": {completed},");
-    let _ = writeln!(out, "  \"total\": {total},");
-    let _ = writeln!(out, "  \"metrics\": {}", embed_json(&metrics.to_json()));
-    out.push_str("}\n");
+    if let Some(engine) = engine {
+        let _ = writeln!(out, "  \"engine\": \"{engine}\",");
+    }
+    let _ = writeln!(out, "  \"complete\": {},", engine.is_some());
     out
 }
 
@@ -333,17 +259,25 @@ pub fn trace_mrc(args: &[String]) -> Result<String, CliError> {
     let options = parse_trace_mrc_options(args)?;
     let source = &options.source;
     let mut registry = MetricsRegistry::new();
-    let mut out = String::new();
-    let _ = writeln!(out, "trace mrc — {source}");
+    let out = format!("trace mrc — {source}\n");
+    let checkpoint = options.checkpoint.as_deref().map(Path::new);
 
-    match options.sample {
+    let (job, resumed) = match options.sample {
         // Hash-sharded (and optionally checkpoint-resumable) parallel
         // sampling; one hash shard without a checkpoint degenerates to the
         // classic single-pass sequential estimator below.
-        Some(s_max)
-            if !options.fused && (options.checkpoint.is_some() || options.sample_shards > 1) =>
-        {
-            trace_mrc_hash_sharded(&options, out, &mut registry, s_max)
+        Some(s_max) if !options.fused && (checkpoint.is_some() || options.sample_shards > 1) => {
+            let (shards, threads) = (options.sample_shards, options.threads);
+            let budget = (s_max / shards).max(1);
+            let (ingest, resumed) = match checkpoint {
+                Some(path) => SampledIngest::resume_or_new(source, shards, budget, threads, path)
+                    .map_err(CliError)?,
+                None => (
+                    SampledIngest::new(source, shards, budget, threads).map_err(CliError)?,
+                    false,
+                ),
+            };
+            (BatchJob::SampledTrace(ingest, source.clone()), resumed)
         }
         Some(s_max) if !options.fused => {
             // The bounded-memory sampled estimator: one sequential pass.
@@ -353,34 +287,23 @@ pub fn trace_mrc(args: &[String]) -> Result<String, CliError> {
             registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
             span.record(&mut registry, "trace.total_nanos");
             estimator.record_gauges(&mut registry);
-            write_metrics(options.metrics.as_deref(), &registry)?;
-            let footprint = estimator.estimated_footprint().round().max(1.0) as usize;
-            let sizes = log_spaced_sizes(footprint, options.points);
-            let points = estimator.mrc_points(&sizes);
-            if options.json {
-                return Ok(mrc_json(
-                    source,
-                    "sampled",
-                    estimator.raw_accesses(),
-                    footprint,
-                    true,
-                    &points,
-                    &registry,
-                ));
-            }
-            let _ = writeln!(out, "accesses            : {}", estimator.raw_accesses());
-            let _ = writeln!(
-                out,
-                "engine              : sampled (s_max {s_max}, rate {:.4}, {} sampled, {} evictions)",
-                estimator.sampling_rate(),
-                estimator.sampled_accesses(),
-                estimator.evictions()
-            );
-            let _ = writeln!(out, "footprint           : ~{footprint} (estimated)");
-            out.push_str(&mrc_table(&points));
-            Ok(out)
+            let finished = Finished::Mrc {
+                accesses: estimator.raw_accesses(),
+                engine: format!(
+                    "sampled (s_max {s_max}, rate {:.4}, {} sampled, {} evictions)",
+                    estimator.sampling_rate(),
+                    estimator.sampled_accesses(),
+                    estimator.evictions()
+                ),
+                curve: Curve::estimated(
+                    estimator.estimated_footprint(),
+                    estimator.histogram(),
+                    options.points,
+                ),
+            };
+            return side_report(&options, out, "sampled", &finished, &registry);
         }
-        None if options.checkpoint.is_none() && options.threads <= 1 => {
+        None if checkpoint.is_none() && options.threads <= 1 => {
             // The single-threaded exact path runs through a `MeteredSink`,
             // so decode time (pulling blocks off the source) and compute
             // time (the engine's Fenwick work) are split — delivery to the
@@ -404,337 +327,64 @@ pub fn trace_mrc(args: &[String]) -> Result<String, CliError> {
             registry.add("trace.compute_nanos", sink.compute_nanos());
             let engine = sink.into_inner();
             engine.record_gauges(&mut registry);
-            write_metrics(options.metrics.as_deref(), &registry)?;
-            let _ = writeln!(out, "accesses            : {}", engine.accesses());
-            let _ = writeln!(out, "engine              : exact streaming (1 thread)");
-            let histogram = engine.into_histogram();
-            Ok(exact_report(
-                &options,
-                out,
-                "exact_streaming",
-                &histogram,
-                &registry,
-            ))
+            let finished = Finished::Mrc {
+                accesses: engine.accesses(),
+                engine: "exact streaming (1 thread)".into(),
+                curve: Curve::exact(engine.histogram(), options.points),
+            };
+            return side_report(&options, out, "exact_streaming", &finished, &registry);
         }
-        _ => trace_mrc_chunked(&options, out, &mut registry),
-    }
-}
-
-/// Runs a resumable trace job through its one run entry point: bounded by
-/// `--max-chunks`, saving to `--checkpoint` after every batch when one is
-/// given, and always metered into `registry` (plus `trace.total_nanos`),
-/// whose snapshot then goes to `--metrics`. Returns the units run.
-fn run_trace_job(
-    options: &TraceMrcOptions,
-    registry: &mut MetricsRegistry,
-    run: impl FnOnce(RunOptions<'_>) -> std::io::Result<usize>,
-) -> Result<usize, CliError> {
-    let span = Span::start();
-    let ran = run(RunOptions {
+        // One chunked ingest: exact, or — with `--exact --sample S` —
+        // fused, where **one** streaming pass produces both the exact and
+        // the sampled curve (identical to what separate exact and sampled
+        // runs would report).
+        _ => {
+            let plan = options
+                .sample
+                .filter(|_| options.fused)
+                .map(|s_max| SampledPlan {
+                    shard_count: options.sample_shards,
+                    budget_per_shard: (s_max / options.sample_shards).max(1),
+                });
+            let (shards, threads) = (options.shards, options.threads);
+            let (ingest, resumed) = match checkpoint {
+                Some(path) => TraceIngest::resume_or_new(source, shards, plan, threads, path)
+                    .map_err(CliError)?,
+                None => (
+                    TraceIngest::new(source, shards, plan, threads).map_err(CliError)?,
+                    false,
+                ),
+            };
+            (BatchJob::Trace(Box::new(ingest), source.clone()), resumed)
+        }
+    };
+    let run = RunSpec {
+        threads: options.threads,
+        points: options.points,
         limit: options.max_chunks,
-        checkpoint: options.checkpoint.as_deref().map(Path::new),
-        metrics: Some(&mut *registry),
-        on_batch: None,
-    })
-    .map_err(|e| {
-        let checkpoint = options.checkpoint.as_deref().unwrap_or_default();
-        CliError(format!("cannot write checkpoint {checkpoint}: {e}"))
-    })?;
-    span.record(registry, "trace.total_nanos");
-    write_metrics(options.metrics.as_deref(), registry)?;
-    Ok(ran)
-}
-
-/// The checkpoint lines before a resumable run: the resume banner, or a
-/// warning that a checkpoint on disk did not match this source, access
-/// count or `plan` — so a mistyped `--shards` or path never silently
-/// discards progress. Nothing without `--checkpoint`.
-fn note_resume(
-    out: &mut String,
-    options: &TraceMrcOptions,
-    resumed: bool,
-    (done, total): (usize, usize),
-    units: &str,
-    plan: &str,
-) {
-    let Some(checkpoint) = &options.checkpoint else {
-        return;
+        checkpoint: options.checkpoint.as_deref(),
+        json: options.json,
+        metrics: options.metrics.as_deref(),
     };
-    if resumed {
-        let _ = writeln!(
-            out,
-            "resumed from {checkpoint}: {done} of {total} {units} were already done"
-        );
-    } else if Path::new(checkpoint).exists() {
-        let _ = writeln!(
-            out,
-            "warning: existing checkpoint {checkpoint} does not match this \
-             source/plan (source {}, {plan}); starting fresh and overwriting it",
-            options.source
-        );
-    }
+    run_and_report(job, Caller::Command { resumed }, &run, out)
 }
 
-/// The checkpoint line after a resumable run (nothing without
-/// `--checkpoint`).
-fn note_ran(
-    out: &mut String,
+/// The report of an uncheckpointed single-pass run, whose engine is named
+/// `engine` in the JSON document.
+fn side_report(
     options: &TraceMrcOptions,
-    ran: usize,
-    (done, total): (usize, usize),
-    unit: &str,
-) {
-    if let Some(checkpoint) = &options.checkpoint {
-        let _ = writeln!(
-            out,
-            "ran {ran} {unit}(s); {done} of {total} complete; checkpoint saved to {checkpoint}"
-        );
-    }
-}
-
-/// The report of a checkpointed run that stopped before completing: the
-/// JSON progress document, or a note that re-running continues the `what`.
-fn incomplete_report(
-    options: &TraceMrcOptions,
-    mut out: String,
-    (done, total): (usize, usize),
-    what: &str,
-    registry: &MetricsRegistry,
-) -> String {
-    if options.json {
-        return mrc_progress_json(&options.source, done, total, registry);
-    }
-    let _ = writeln!(
-        out,
-        "{what} incomplete — re-run the same command to continue from the checkpoint"
-    );
-    out
-}
-
-/// The footprint line and MRC table (or JSON document) of a finished exact
-/// analysis.
-fn exact_report(
-    options: &TraceMrcOptions,
-    mut out: String,
+    out: String,
     engine: &str,
-    histogram: &StreamHistogram,
+    finished: &Finished,
     registry: &MetricsRegistry,
-) -> String {
-    let footprint = usize::try_from(histogram.cold_count()).unwrap_or(usize::MAX);
-    let points = histogram.mrc_points(&log_spaced_sizes(footprint, options.points));
-    if options.json {
-        return mrc_json(
-            &options.source,
-            engine,
-            histogram.accesses(),
-            footprint,
-            false,
-            &points,
-            registry,
-        );
-    }
-    let _ = writeln!(out, "footprint           : {footprint}");
-    out.push_str(&mrc_table(&points));
-    out
-}
-
-/// The hash-sharded sampled path of [`trace_mrc`]: a [`SampledIngest`]
-/// over `--shards` hash shards sharing the `s_max` budget, optionally
-/// checkpoint-resumable.
-fn trace_mrc_hash_sharded(
-    options: &TraceMrcOptions,
-    mut out: String,
-    registry: &mut MetricsRegistry,
-    s_max: usize,
 ) -> Result<String, CliError> {
-    let source = &options.source;
-    let shard_count = options.sample_shards;
-    let budget = (s_max / shard_count).max(1);
-    let (mut ingest, resumed) = match &options.checkpoint {
-        Some(checkpoint) => SampledIngest::resume_or_new(
-            source,
-            shard_count,
-            budget,
-            options.threads,
-            Path::new(checkpoint),
-        )
-        .map_err(CliError)?,
-        None => (
-            SampledIngest::new(source, shard_count, budget, options.threads).map_err(CliError)?,
-            false,
-        ),
-    };
-    let progress = |ingest: &SampledIngest| (ingest.completed_count(), ingest.shard_count());
-    let plan = format!(
-        "{} accesses, {} hash shards",
-        ingest.total_accesses(),
-        ingest.shard_count()
-    );
-    note_resume(
-        &mut out,
-        options,
-        resumed,
-        progress(&ingest),
-        "hash shards",
-        &plan,
-    );
-    let ran = run_trace_job(options, registry, |run| ingest.run(source, run))?;
-    note_ran(&mut out, options, ran, progress(&ingest), "hash shard");
-    let Some(summary) = ingest.merged() else {
-        return Ok(incomplete_report(
-            options,
-            out,
-            progress(&ingest),
-            "sampled ingest",
-            registry,
-        ));
-    };
-    let footprint = summary.estimated_footprint().round().max(1.0) as usize;
-    let sizes = log_spaced_sizes(footprint, options.points);
-    let points = summary.histogram.mrc_points(&sizes);
-    if options.json {
-        return Ok(mrc_json(
-            source,
-            "sampled_hash_sharded",
-            summary.raw_accesses,
-            footprint,
-            true,
-            &points,
-            registry,
-        ));
-    }
-    let _ = writeln!(out, "accesses            : {}", summary.raw_accesses);
-    let _ = writeln!(
-        out,
-        "engine              : sampled hash-sharded ({shard_count} shards x {budget} \
-         budget, min rate {:.4}, {} sampled, {} evictions, {} threads)",
-        summary.min_rate, summary.sampled_accesses, summary.evictions, options.threads
-    );
-    let _ = writeln!(out, "footprint           : ~{footprint} (estimated)");
-    out.push_str(&mrc_table(&points));
-    Ok(out)
-}
-
-/// The chunked path of [`trace_mrc`]: one [`TraceIngest`] over `--shards`
-/// chunks, exact — or, with `--exact --sample S`, fused: **one** streaming
-/// pass produces both the exact and the sampled curve (identical to what
-/// separate exact and sampled runs would report) — optionally
-/// checkpoint-resumable.
-fn trace_mrc_chunked(
-    options: &TraceMrcOptions,
-    mut out: String,
-    registry: &mut MetricsRegistry,
-) -> Result<String, CliError> {
-    let source = &options.source;
-    let plan = options
-        .sample
-        .filter(|_| options.fused)
-        .map(|s_max| SampledPlan {
-            shard_count: options.sample_shards,
-            budget_per_shard: (s_max / options.sample_shards).max(1),
-        });
-    let (mut ingest, resumed) = match &options.checkpoint {
-        Some(checkpoint) => TraceIngest::resume_or_new(
-            source,
-            options.shards,
-            plan,
-            options.threads,
-            Path::new(checkpoint),
-        )
-        .map_err(CliError)?,
-        None => (
-            TraceIngest::new(source, options.shards, plan, options.threads).map_err(CliError)?,
-            false,
-        ),
-    };
-    let progress = |ingest: &TraceIngest| (ingest.completed_count(), ingest.chunk_count());
-    let mut plan_text = format!(
-        "{} accesses, {} chunks",
-        ingest.total_accesses(),
-        ingest.chunk_count()
-    );
-    if let Some(plan) = plan {
-        let _ = write!(plan_text, ", {} hash shards", plan.shard_count);
-    }
-    note_resume(
-        &mut out,
-        options,
-        resumed,
-        progress(&ingest),
-        "chunks",
-        &plan_text,
-    );
-    let ran = run_trace_job(options, registry, |run| ingest.run(source, run))?;
-    note_ran(&mut out, options, ran, progress(&ingest), "chunk");
-    let what = if plan.is_some() {
-        "fused ingest"
+    write_metrics(options.metrics.as_deref(), registry)?;
+    Ok(if options.json {
+        let head = trace_head(&options.source, Some(engine));
+        json_report(&(head + &finished.fields()), registry)
     } else {
-        "ingest"
-    };
-    let Some(histogram) = ingest.histogram() else {
-        return Ok(incomplete_report(
-            options,
-            out,
-            progress(&ingest),
-            what,
-            registry,
-        ));
-    };
-    let _ = writeln!(out, "accesses            : {}", histogram.accesses());
-    let (Some(plan), Some(summary)) = (plan, ingest.sampled_summary()) else {
-        let _ = writeln!(
-            out,
-            "engine              : exact sharded ({} chunks, {} threads)",
-            ingest.chunk_count(),
-            options.threads
-        );
-        return Ok(exact_report(
-            options,
-            out,
-            "exact_sharded",
-            histogram,
-            registry,
-        ));
-    };
-    let footprint = usize::try_from(histogram.cold_count()).unwrap_or(usize::MAX);
-    let exact_points = histogram.mrc_points(&log_spaced_sizes(footprint, options.points));
-    let est_footprint = summary.estimated_footprint().round().max(1.0) as usize;
-    let sampled_points = summary
-        .histogram
-        .mrc_points(&log_spaced_sizes(est_footprint, options.points));
-    if options.json {
-        return Ok(fused_mrc_json(
-            source,
-            histogram.accesses(),
-            ingest.streamed_accesses(),
-            footprint,
-            &exact_points,
-            est_footprint,
-            summary.min_rate,
-            &sampled_points,
-            registry,
-        ));
-    }
-    let _ = writeln!(
-        out,
-        "engine              : fused single-pass ({} chunks -> exact + {} hash \
-         shards x {} budget, min rate {:.4}, {} threads)",
-        ingest.chunk_count(),
-        plan.shard_count,
-        plan.budget_per_shard,
-        summary.min_rate,
-        options.threads
-    );
-    let _ = writeln!(
-        out,
-        "streamed            : {} (each access decoded once)",
-        ingest.streamed_accesses()
-    );
-    let _ = writeln!(out, "exact footprint     : {footprint}");
-    out.push_str(&mrc_table(&exact_points));
-    let _ = writeln!(out, "sampled footprint   : ~{est_footprint} (estimated)");
-    out.push_str(&mrc_table(&sampled_points));
-    Ok(out)
+        out + &finished.text()
+    })
 }
 
 /// `symloc trace convert <in> <out> [--index N]` — streams a trace from any
