@@ -409,9 +409,15 @@ pub fn measure_trace_suite(runs: usize) -> Vec<TraceMeasurement> {
         1,
         runs.min(3),
         || {
+            let mut blocks = text_source
+                .stream_blocks_range(0, accesses)
+                .expect("written trace");
+            let mut buf = Vec::new();
             let mut sum = 0u64;
-            for addr in text_source.stream().expect("written trace") {
-                sum = sum.wrapping_add(addr);
+            while blocks.next_block(&mut buf) > 0 {
+                for &addr in &buf {
+                    sum = sum.wrapping_add(addr);
+                }
             }
             std::hint::black_box(sum);
         },

@@ -1943,12 +1943,18 @@ impl Job for SampledIngestJob<'_> {
                 )
             })
             .collect();
-        let stream = self.source.stream().expect("validated source streams");
-        for addr in stream {
-            let hash = splitmix64(addr) % SHARDS_MODULUS;
-            let shard = hash % count;
-            if shard >= lo && shard < hi {
-                estimators[(shard - lo) as usize].record_hashed(addr, hash);
+        let mut blocks = self
+            .source
+            .stream_blocks_range(0, self.ingest.total)
+            .expect("validated source streams");
+        let mut buf = Vec::new();
+        while blocks.next_block(&mut buf) > 0 {
+            for &addr in &buf {
+                let hash = splitmix64(addr) % SHARDS_MODULUS;
+                let shard = hash % count;
+                if shard >= lo && shard < hi {
+                    estimators[(shard - lo) as usize].record_hashed(addr, hash);
+                }
             }
         }
         for (offset, est) in estimators.iter().enumerate() {
@@ -3175,6 +3181,47 @@ mod tests {
         }
         // Each access lands in exactly one shard.
         assert_eq!(reference.merged().unwrap().raw_accesses, 8000);
+    }
+
+    #[test]
+    fn sampled_ingest_is_bit_identical_across_source_kinds() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use symloc_trace::binio::{sltr_index_path, write_sltr, write_sltr_indexed};
+        use symloc_trace::io::write_trace;
+        let mut rng = StdRng::seed_from_u64(29);
+        // Several BLOCK_LEN refills and index intervals per pass.
+        let trace = zipfian_trace(2000, 12_000, 0.8, &mut rng);
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let text = dir.join(format!("symloc_sampled_kinds_{pid}.trace"));
+        let plain = dir.join(format!("symloc_sampled_kinds_plain_{pid}.sltr"));
+        let indexed = dir.join(format!("symloc_sampled_kinds_indexed_{pid}.sltr"));
+        write_trace(&trace, &text).unwrap();
+        write_sltr(&trace, &plain).unwrap();
+        write_sltr_indexed(&trace, &indexed, 512).unwrap();
+        let merged = |source: &TraceSource| {
+            let mut ingest = SampledIngest::new(source, 4, 64, 2).unwrap();
+            ingest.run_pending(source, None);
+            ingest.merged().unwrap()
+        };
+        let reference = merged(&TraceSource::Memory(trace));
+        assert_eq!(reference.raw_accesses, 12_000);
+        for source in [
+            TraceSource::Text(text.clone()),
+            TraceSource::Binary(plain.clone()),
+            TraceSource::Binary(indexed.clone()),
+        ] {
+            let summary = merged(&source);
+            assert_eq!(summary, reference, "{source}");
+            // `Debug` prints every float in shortest round-trip form (and
+            // tells -0.0 from 0.0), so equal renderings are equal bits.
+            assert_eq!(format!("{summary:?}"), format!("{reference:?}"), "{source}");
+        }
+        for path in [&text, &plain, &indexed] {
+            std::fs::remove_file(path).ok();
+        }
+        std::fs::remove_file(sltr_index_path(&indexed)).ok();
     }
 
     #[test]

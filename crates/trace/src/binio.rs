@@ -169,8 +169,8 @@ pub fn sltr_index_path(sltr: &Path) -> std::path::PathBuf {
 
 /// A chunk index over a `.sltr` payload: the byte offset (relative to the
 /// start of the payload, i.e. past the 5-byte header) of every `interval`-th
-/// access, so [`crate::stream::TraceSource::stream_range`] can *seek* to a
-/// chunk instead of decode-skipping the prefix.
+/// access, so [`crate::stream::TraceSource::stream_blocks_range`] can
+/// *seek* to a chunk instead of decode-skipping the prefix.
 ///
 /// Stored as a sidecar file (`<trace>.sltr.idx`) so the `.sltr` format
 /// itself stays version-1, append-friendly and concatenation-safe:

@@ -61,21 +61,37 @@ impl From<std::io::Error> for TraceIoError {
 /// Returns [`TraceIoError::Parse`] on the first malformed line or
 /// [`TraceIoError::Io`] on read failure.
 pub fn read_trace_from_reader<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
-    let buf = BufReader::new(reader);
     let mut trace = Trace::new();
-    for (idx, line) in buf.lines().enumerate() {
+    for (idx, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
+        if let Some(addr) = parse_trace_line(&line, idx + 1)? {
+            let addr = usize::try_from(addr).map_err(|_| TraceIoError::Parse {
+                line: idx + 1,
+                text: line.trim().to_string(),
+            })?;
+            trace.push(Addr(addr));
         }
-        let addr: usize = text.parse().map_err(|_| TraceIoError::Parse {
-            line: idx + 1,
-            text: text.to_string(),
-        })?;
-        trace.push(Addr(addr));
     }
     Ok(trace)
+}
+
+/// Parses one line of the format: `None` for a blank or `#` comment line,
+/// otherwise its address. The one text-line grammar every reader shares
+/// (this module's and the streaming sources of [`crate::stream`]).
+///
+/// # Errors
+///
+/// Returns [`TraceIoError::Parse`], naming the 1-based `line`, when the
+/// trimmed line is not a decimal `u64`.
+pub(crate) fn parse_trace_line(line: &str, lineno: usize) -> Result<Option<u64>, TraceIoError> {
+    let text = line.trim();
+    if text.is_empty() || text.starts_with('#') {
+        return Ok(None);
+    }
+    text.parse().map(Some).map_err(|_| TraceIoError::Parse {
+        line: lineno,
+        text: text.to_string(),
+    })
 }
 
 /// Parses a trace from an in-memory string.

@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::io::{read_trace, read_trace_from_str, write_trace, write_trace_to_string};
     pub use crate::matrix::{matrix_traversal_trace, MatrixLayout, MatrixTraversal};
     pub use crate::stats::{footprint, frequencies, reuse_intervals, TraceStats};
-    pub use crate::stream::{AccessIter, GenSpec, GenStream, TraceSource};
+    pub use crate::stream::{GenSpec, GenStream, TraceSource};
     pub use crate::trace::{Addr, Trace};
     pub use crate::wire::{parse_request, AccessBatcher, Request};
 }

@@ -5,10 +5,11 @@
 //! whatever fits in memory. This module is the substrate of the streaming
 //! trace-analysis subsystem: a [`TraceSource`] describes where accesses come
 //! from — a plain-text file, a binary `.sltr` file ([`crate::binio`]), a
-//! synthetic generator spec, or an in-memory trace — and yields them one at
-//! a time through [`TraceSource::stream`], or any contiguous sub-range
-//! through [`TraceSource::stream_range`] (the hook chunk-sharded parallel
-//! ingestion hangs off: each worker streams only its own chunk).
+//! synthetic generator spec, or an in-memory trace — and yields any
+//! contiguous range of them in blocks through
+//! [`TraceSource::stream_blocks_range`], the one range reader: a
+//! sequential pass reads the whole range, and each chunk-sharded worker
+//! reads only its own chunk.
 //!
 //! Generator specs ([`GenSpec`]) are parsed from compact `gen:` strings so
 //! the CLI can run synthetic workloads of any size without writing a file:
@@ -23,17 +24,17 @@
 //! ```
 //!
 //! Every generator is random-access: [`GenSpec::address_at`] computes any
-//! position directly, so `stream_range` starts mid-trace in `O(1)`. The
-//! deterministic patterns (cyclic, sawtooth, strided, tiled) are closed
-//! forms; the seeded kinds (random, zipf) are counter-based — the workspace
-//! `StdRng` is SplitMix64, whose draw `i` is one [`splitmix64`] of
-//! `seed + i·γ`, and each access takes exactly one draw — so a chunk never
-//! replays its prefix, and the streams equal the batch generators' draw for
-//! draw. A generator stream is `O(m)` state (the Zipfian CDF) regardless of
+//! position directly, so [`GenSpec::stream_range`] starts mid-trace in
+//! `O(1)`. The deterministic patterns (cyclic, sawtooth, strided, tiled)
+//! are closed forms; the seeded kinds (random, zipf) are counter-based —
+//! the workspace `StdRng` is SplitMix64, whose draw `i` is one
+//! [`splitmix64`] of `seed + i·γ`, and each access takes exactly one draw
+//! — so a chunk never replays its prefix, and the streams equal the batch
+//! generators' draw for draw. A generator stream is `O(m)` state (the Zipfian CDF) regardless of
 //! trace length, and fills [`BlockRead`] buffers natively.
 
 use crate::binio::{count_sltr_accesses, sltr_index_path, SltrIndex, SltrReader};
-use crate::io::TraceIoError;
+use crate::io::{parse_trace_line, TraceIoError};
 use crate::trace::Trace;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -339,8 +340,8 @@ impl std::fmt::Display for GenSpec {
 /// SplitMix64's output function on a pre-incremented state: a cheap,
 /// stateless, statistically uniform 64-bit mix. It is the workspace
 /// `StdRng`'s step (so `splitmix64(seed)` is that generator's first draw),
-/// the counter behind [`seeded_draw`], and the SHARDS spatial-sampling
-/// hash.
+/// the counter behind the seeded generators' draws, and the SHARDS
+/// spatial-sampling hash.
 #[inline]
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -427,10 +428,6 @@ pub enum TraceSource {
     Memory(Trace),
 }
 
-/// A boxed streaming iterator of addresses, `Send` so chunk workers can own
-/// one each.
-pub type AccessIter = Box<dyn Iterator<Item = u64> + Send>;
-
 /// Preferred number of accesses per block of [`BlockRead::next_block`]:
 /// large enough to amortize the per-block call, small enough that a block
 /// of `u64`s stays cache-resident.
@@ -438,18 +435,17 @@ pub const BLOCK_LEN: usize = 4096;
 
 /// A block-streaming source of addresses: refills a caller-provided buffer
 /// with the next run of accesses instead of answering one virtual `next()`
-/// call per access. The hot-loop counterpart of [`AccessIter`], produced by
-/// [`TraceSource::stream_blocks_range`]; both shapes yield identical
-/// access sequences.
+/// call per access. Produced by [`TraceSource::stream_blocks_range`], the
+/// one way to read a range of any source; `Send` so chunk workers can own
+/// one each.
 pub trait BlockRead: Send {
     /// Refills `buf` (cleared first) with up to [`BLOCK_LEN`] accesses,
     /// returning how many were produced; `0` means the range is exhausted.
     ///
     /// # Panics
     ///
-    /// May panic on I/O or decode errors past construction — like the
-    /// iterator streams, callers validate sources with
-    /// [`TraceSource::total_accesses`] first.
+    /// May panic on I/O or decode errors past construction — callers
+    /// validate file sources with [`TraceSource::total_accesses`] first.
     fn next_block(&mut self, buf: &mut Vec<u64>) -> usize;
 }
 
@@ -603,19 +599,8 @@ impl<S: AccessSink> AccessSink for MeteredSink<S> {
     }
 }
 
-/// Adapts any access iterator to the block interface — the generic path
-/// for sources without a native block decoder.
-struct IterBlocks {
-    iter: AccessIter,
-}
-
-impl BlockRead for IterBlocks {
-    fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
-        buf.clear();
-        buf.extend(self.iter.by_ref().take(BLOCK_LEN));
-        buf.len()
-    }
-}
+/// Bytes before a `.sltr` payload: the magic and the version byte.
+const SLTR_HEADER_LEN: u64 = 5;
 
 /// Zero-copy block decoding over a (possibly seek-positioned) `.sltr`
 /// payload, bounded to `remaining` accesses.
@@ -637,6 +622,82 @@ impl BlockRead for SltrBlocks {
             .expect("validated sltr payload");
         self.remaining -= n as u64;
         n
+    }
+}
+
+/// Line-by-line parsing over a (possibly seek-positioned) text trace,
+/// bounded to `remaining` accesses. Also the scanner behind
+/// [`TraceSource::total_accesses`] and [`build_text_index`], which is why
+/// it tracks byte offsets.
+struct TextBlocks {
+    reader: BufReader<File>,
+    line: String,
+    /// Lines read, counted from where reading started.
+    lineno: usize,
+    /// Bytes read, counted from where reading started.
+    offset: u64,
+    /// Where the line of the last access returned starts.
+    line_start: u64,
+    remaining: u64,
+}
+
+impl TextBlocks {
+    fn new(file: File, remaining: u64) -> TextBlocks {
+        TextBlocks {
+            reader: BufReader::new(file),
+            line: String::new(),
+            lineno: 0,
+            offset: 0,
+            line_start: 0,
+            remaining,
+        }
+    }
+
+    /// The next access, past any comment and blank lines; `None` at the
+    /// end of the file.
+    fn next_access(&mut self) -> Result<Option<u64>, TraceIoError> {
+        loop {
+            self.line.clear();
+            let bytes = self.reader.read_line(&mut self.line)?;
+            if bytes == 0 {
+                return Ok(None);
+            }
+            self.lineno += 1;
+            self.line_start = self.offset;
+            self.offset += bytes as u64;
+            if let Some(addr) = parse_trace_line(&self.line, self.lineno)? {
+                return Ok(Some(addr));
+            }
+        }
+    }
+}
+
+impl BlockRead for TextBlocks {
+    fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
+        buf.clear();
+        while buf.len() < BLOCK_LEN && self.remaining > 0 {
+            match self.next_access().expect("validated text trace") {
+                Some(addr) => {
+                    buf.push(addr);
+                    self.remaining -= 1;
+                }
+                None => self.remaining = 0,
+            }
+        }
+        buf.len()
+    }
+}
+
+/// Blocks copied out of an in-memory range.
+struct MemoryBlocks {
+    addrs: std::vec::IntoIter<u64>,
+}
+
+impl BlockRead for MemoryBlocks {
+    fn next_block(&mut self, buf: &mut Vec<u64>) -> usize {
+        buf.clear();
+        buf.extend(self.addrs.by_ref().take(BLOCK_LEN));
+        buf.len()
     }
 }
 
@@ -709,13 +770,14 @@ impl TraceSource {
     }
 
     /// Total number of accesses. Files are scanned (and thereby fully
-    /// validated — later [`TraceSource::stream_range`] calls may assume the
-    /// content decodes); generators and in-memory traces answer in `O(1)`.
+    /// validated — later [`TraceSource::stream_blocks_range`] readers may
+    /// assume the content decodes); generators and in-memory traces answer
+    /// in `O(1)`.
     ///
-    /// A `.sltr` source with a sidecar chunk index also validates the
-    /// index here: a corrupt sidecar, or one describing a different payload
-    /// (the trace was truncated, appended to or replaced after indexing),
-    /// is a loud error rather than a silent mis-seek later.
+    /// A file source with a sidecar chunk index also validates the index
+    /// here: a corrupt sidecar, or one describing a different payload (the
+    /// trace was truncated, appended to or replaced after indexing), is a
+    /// loud error rather than a silent mis-seek later.
     ///
     /// # Errors
     ///
@@ -723,23 +785,17 @@ impl TraceSource {
     pub fn total_accesses(&self) -> Result<u64, TraceIoError> {
         match self {
             TraceSource::Text(path) => {
+                let mut text = TextBlocks::new(File::open(path)?, u64::MAX);
                 let mut count = 0u64;
-                for_each_text_access(path, &mut |_| count += 1)?;
-                let sidecar = sltr_index_path(path);
-                if sidecar.exists() {
-                    let index = SltrIndex::read(&sidecar)?;
-                    index.check_matches(count, std::fs::metadata(path)?.len())?;
+                while text.next_access()?.is_some() {
+                    count += 1;
                 }
+                check_sidecar(path, 0, count)?;
                 Ok(count)
             }
             TraceSource::Binary(path) => {
                 let count = count_sltr_accesses(path)?;
-                let sidecar = sltr_index_path(path);
-                if sidecar.exists() {
-                    let index = SltrIndex::read(&sidecar)?;
-                    let payload_len = std::fs::metadata(path)?.len().saturating_sub(5);
-                    index.check_matches(count, payload_len)?;
-                }
+                check_sidecar(path, SLTR_HEADER_LEN, count)?;
                 Ok(count)
             }
             TraceSource::Gen(spec) => Ok(spec.total_accesses()),
@@ -747,99 +803,69 @@ impl TraceSource {
         }
     }
 
-    /// Streams the whole trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of opening the underlying file, if any. Decode
-    /// errors past that point panic — validate first with
-    /// [`TraceSource::total_accesses`].
-    pub fn stream(&self) -> Result<AccessIter, TraceIoError> {
-        self.stream_range(0, u64::MAX)
-    }
-
-    /// Streams accesses `start..end` (clamped to the trace length). File
-    /// sources open a fresh reader and skip `start` accesses; generator
-    /// sources position natively (see [`GenSpec::stream_range`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of opening the underlying file, if any.
-    pub fn stream_range(&self, start: u64, end: u64) -> Result<AccessIter, TraceIoError> {
-        let take = end.saturating_sub(start);
-        match self {
-            TraceSource::Text(path) => {
-                // With a valid line-offset sidecar index the range starts
-                // with a seek to an access's line start (decode-skipping at
-                // most `interval - 1` lines); without one, fall back to
-                // parse-skipping the whole prefix. Both paths yield
-                // identical accesses.
-                if let Some(iter) = text_seek_range(path, start, take)? {
-                    return Ok(iter);
-                }
-                let file = File::open(path)?;
-                let iter = BufReader::new(file)
-                    .lines()
-                    .map(|line| line.expect("trace file readable"))
-                    .filter_map(|line| text_access_of_line(&line))
-                    .skip(usize::try_from(start).unwrap_or(usize::MAX))
-                    .take(usize::try_from(take).unwrap_or(usize::MAX));
-                Ok(Box::new(iter))
-            }
-            TraceSource::Binary(path) => {
-                // With a valid sidecar chunk index the range starts with a
-                // seek (decode-skipping at most `interval - 1` accesses);
-                // without one — or if the sidecar vanished or stopped
-                // matching since validation — fall back to decode-skipping
-                // the whole prefix. Both paths yield identical accesses.
-                if let Some(iter) = sltr_seek_range(path, start, take)? {
-                    return Ok(iter);
-                }
-                let reader = SltrReader::new(File::open(path)?).map_err(TraceIoError::from)?;
-                let iter = reader
-                    .map(|item| item.expect("validated sltr payload"))
-                    .skip(usize::try_from(start).unwrap_or(usize::MAX))
-                    .take(usize::try_from(take).unwrap_or(usize::MAX));
-                Ok(Box::new(iter))
-            }
-            TraceSource::Gen(spec) => Ok(Box::new(spec.stream_range(start, end))),
-            TraceSource::Memory(trace) => {
-                let len = trace.len() as u64;
-                let end = end.min(len);
-                let start = start.min(end);
-                let addrs: Vec<u64> = trace.accesses()
-                    [usize::try_from(start).unwrap()..usize::try_from(end).unwrap()]
-                    .iter()
-                    .map(|a| a.value() as u64)
-                    .collect();
-                Ok(Box::new(addrs.into_iter()))
-            }
-        }
-    }
-
-    /// Streams accesses `start..end` as decoded blocks instead of one
-    /// virtual call per access — the hot-loop shape of
-    /// [`TraceSource::stream_range`], consumed by the exact reuse-distance
-    /// ingest. `.sltr` sources decode LEB128 runs straight into the
-    /// caller's buffer ([`SltrReader::decode_block`]), seek via the sidecar
-    /// chunk index when a valid one applies, and decode-skip the prefix in
-    /// blocks otherwise (identical accesses either way, mirroring the
-    /// iterator path's stale-sidecar fallback). Generator sources fill the
-    /// buffer directly from [`GenSpec::address_at`] positions; text and
-    /// in-memory sources adapt their iterator into blocks. Both stream
-    /// shapes yield identical access sequences.
+    /// Streams accesses `start..end` (clamped to the trace length) as
+    /// decoded blocks — the one way to read a range of any source, from
+    /// one sequential pass to one chunk worker's share. File sources seek
+    /// via their sidecar chunk index when one applies (it parses and
+    /// matches the file's payload length) and skip the prefix by decoding
+    /// otherwise, with identical accesses either way: `.sltr` sources
+    /// decode LEB128 runs straight into the caller's buffer
+    /// ([`SltrReader::decode_block`]), text sources parse line by line.
+    /// Generator sources fill the buffer directly from
+    /// [`GenSpec::address_at`] positions; in-memory sources copy their
+    /// slice.
     ///
     /// # Errors
     ///
     /// Returns the error of opening the underlying file or of decoding the
     /// skipped prefix, if any.
     pub fn stream_blocks_range(&self, start: u64, end: u64) -> Result<AccessBlocks, TraceIoError> {
+        let take = end.saturating_sub(start);
         match self {
-            TraceSource::Binary(path) => sltr_blocks_range(path, start, end.saturating_sub(start)),
+            TraceSource::Text(path) => {
+                let (file, position) = open_range(path, 0, start)?;
+                let mut text = TextBlocks::new(file, take);
+                for _ in position.unwrap_or(0)..start {
+                    if text.next_access()?.is_none() {
+                        break; // range starts at or past the end of the trace
+                    }
+                }
+                Ok(Box::new(text))
+            }
+            TraceSource::Binary(path) => {
+                let (file, position) = open_range(path, SLTR_HEADER_LEN, start)?;
+                let mut reader = match position {
+                    Some(position) => SltrReader::resume(file, position),
+                    None => SltrReader::new(file)?,
+                };
+                // Fast-skip the unwanted prefix with the block decoder itself.
+                let mut skip = start - position.unwrap_or(0);
+                let mut scratch = Vec::new();
+                while skip > 0 {
+                    let max = BLOCK_LEN.min(usize::try_from(skip).unwrap_or(usize::MAX));
+                    let n = reader.decode_block(&mut scratch, max)?;
+                    if n == 0 {
+                        break; // range starts at or past the end of the trace
+                    }
+                    skip -= n as u64;
+                }
+                Ok(Box::new(SltrBlocks {
+                    reader,
+                    remaining: take,
+                }))
+            }
             TraceSource::Gen(spec) => Ok(Box::new(spec.stream_range(start, end))),
-            _ => Ok(Box::new(IterBlocks {
-                iter: self.stream_range(start, end)?,
-            })),
+            TraceSource::Memory(trace) => {
+                let end = end.min(trace.len() as u64);
+                let range = usize::try_from(start.min(end)).unwrap()..usize::try_from(end).unwrap();
+                let addrs: Vec<u64> = trace.accesses()[range]
+                    .iter()
+                    .map(|a| a.value() as u64)
+                    .collect();
+                Ok(Box::new(MemoryBlocks {
+                    addrs: addrs.into_iter(),
+                }))
+            }
         }
     }
 }
@@ -850,126 +876,45 @@ impl std::fmt::Display for TraceSource {
     }
 }
 
-/// Opens a seek-positioned range over an indexed `.sltr` file, or `None`
-/// when no applicable sidecar index is available (missing, corrupt, or
-/// describing a different payload — [`TraceSource::total_accesses`] already
-/// reported those loudly; by streaming time the fallback is decode-skip).
+/// Opens a file source for a range read from access `start`, and decides
+/// whether its sidecar index applies — the one place that decides at
+/// stream time. It applies when it parses and describes a payload of the
+/// file's length past the `header` (5 bytes for `.sltr`, none for text,
+/// whose payload is the whole file): the file is then seeked to the
+/// indexed access boundary nearest below `start`, and the number of
+/// accesses before that boundary is returned. Otherwise — the sidecar is
+/// missing, corrupt or stale, which [`TraceSource::total_accesses`] has
+/// already reported loudly — the file is left at its start (`None`) and
+/// the caller decode-skips the whole prefix. Both yield identical accesses.
 ///
 /// # Errors
 ///
 /// Returns the error of opening or seeking the trace file itself.
-fn sltr_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIter>, TraceIoError> {
+fn open_range(path: &Path, header: u64, start: u64) -> Result<(File, Option<u64>), TraceIoError> {
     use std::io::{Seek, SeekFrom};
-    let Ok(index) = SltrIndex::read(sltr_index_path(path)) else {
-        return Ok(None);
-    };
     let mut file = File::open(path)?;
-    let payload_len = file.metadata()?.len().saturating_sub(5);
-    if index.check_matches_payload_only(payload_len).is_err() {
-        return Ok(None);
-    }
-    let (offset, skip) = index.seek_hint(start);
-    file.seek(SeekFrom::Start(5 + offset))?;
-    let reader = SltrReader::resume(file, start - skip);
-    let iter = reader
-        .map(|item| item.expect("validated sltr payload"))
-        .skip(usize::try_from(skip).unwrap_or(usize::MAX))
-        .take(usize::try_from(take).unwrap_or(usize::MAX));
-    Ok(Some(Box::new(iter)))
-}
-
-/// Opens a block reader over `take` accesses of a `.sltr` file starting at
-/// access `start`. With a valid sidecar chunk index the reader seeks to the
-/// nearest indexed chunk boundary and block-decodes at most `interval - 1`
-/// accesses of skip; without one — or if the sidecar vanished or stopped
-/// matching since validation — it falls back to block-decoding the whole
-/// prefix. Both paths yield identical accesses.
-///
-/// # Errors
-///
-/// Returns the error of opening or seeking the trace file, or of decoding
-/// the skipped prefix.
-fn sltr_blocks_range(path: &Path, start: u64, take: u64) -> Result<AccessBlocks, TraceIoError> {
-    use std::io::{Seek, SeekFrom};
-    let seek = (|| {
+    let hint = (|| {
         let index = SltrIndex::read(sltr_index_path(path)).ok()?;
-        let payload_len = std::fs::metadata(path).ok()?.len().saturating_sub(5);
+        let payload_len = file.metadata().ok()?.len().saturating_sub(header);
         index.check_matches_payload_only(payload_len).ok()?;
         Some(index.seek_hint(start))
     })();
-    let (mut reader, mut skip) = match seek {
-        Some((offset, indexed)) => {
-            let mut file = File::open(path)?;
-            file.seek(SeekFrom::Start(5 + offset))?;
-            (SltrReader::resume(file, start - indexed), indexed)
-        }
-        None => (
-            SltrReader::new(File::open(path)?).map_err(TraceIoError::from)?,
-            start,
-        ),
+    let Some((offset, skip)) = hint else {
+        return Ok((file, None));
     };
-    // Fast-skip the unwanted prefix with the block decoder itself.
-    let mut scratch = Vec::new();
-    while skip > 0 {
-        let max = BLOCK_LEN.min(usize::try_from(skip).unwrap_or(usize::MAX));
-        let n = reader
-            .decode_block(&mut scratch, max)
-            .map_err(TraceIoError::from)?;
-        if n == 0 {
-            break; // range starts at or past the end of the trace
-        }
-        skip -= n as u64;
-    }
-    Ok(Box::new(SltrBlocks {
-        reader,
-        remaining: take,
-    }))
+    file.seek(SeekFrom::Start(header + offset))?;
+    Ok((file, Some(start - skip)))
 }
 
-/// Parses one line of a text trace into its access, skipping comments and
-/// blank lines. Panics on malformed content — callers validate sources
-/// with [`TraceSource::total_accesses`] before streaming.
-fn text_access_of_line(line: &str) -> Option<u64> {
-    let text = line.trim();
-    if text.is_empty() || text.starts_with('#') {
-        None
-    } else {
-        Some(text.parse::<u64>().expect("validated trace line"))
+/// Validates `path`'s sidecar index, if there is one, against the `count`
+/// accesses the file holds past its `header`.
+fn check_sidecar(path: &Path, header: u64, count: u64) -> Result<(), TraceIoError> {
+    let sidecar = sltr_index_path(path);
+    if sidecar.exists() {
+        let payload_len = std::fs::metadata(path)?.len().saturating_sub(header);
+        SltrIndex::read(&sidecar)?.check_matches(count, payload_len)?;
     }
-}
-
-/// Opens a seek-positioned range over an indexed text trace, or `None`
-/// when no applicable sidecar index is available (missing, corrupt, or
-/// describing a different file length — [`TraceSource::total_accesses`]
-/// already reported those loudly; by streaming time the fallback is
-/// parse-skip). The text counterpart of [`sltr_seek_range`]: offsets index
-/// the byte position of the *line* starting every `interval`-th access,
-/// with the whole file as the payload.
-///
-/// # Errors
-///
-/// Returns the error of opening or seeking the trace file itself.
-fn text_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIter>, TraceIoError> {
-    use std::io::{Seek, SeekFrom};
-    let Ok(index) = SltrIndex::read(sltr_index_path(path)) else {
-        return Ok(None);
-    };
-    let mut file = File::open(path)?;
-    if index
-        .check_matches_payload_only(file.metadata()?.len())
-        .is_err()
-    {
-        return Ok(None);
-    }
-    let (offset, skip) = index.seek_hint(start);
-    file.seek(SeekFrom::Start(offset))?;
-    let iter = BufReader::new(file)
-        .lines()
-        .map(|line| line.expect("trace file readable"))
-        .filter_map(|line| text_access_of_line(&line))
-        .skip(usize::try_from(skip).unwrap_or(usize::MAX))
-        .take(usize::try_from(take).unwrap_or(usize::MAX));
-    Ok(Some(Box::new(iter)))
+    Ok(())
 }
 
 /// Builds a line-offset chunk index over a text trace file: the same
@@ -977,8 +922,8 @@ fn text_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIt
 /// file as the payload and entry `k` holding the byte offset of the line
 /// that starts access `k·interval` (comment and blank lines do not count
 /// as accesses but do count bytes). Written to [`sltr_index_path`], it
-/// makes [`TraceSource::stream_range`] *seek* on text sources — the same
-/// sharded-ingest speedup binary traces got in PR 4.
+/// makes [`TraceSource::stream_blocks_range`] *seek* on text sources, as
+/// it does on indexed `.sltr` files.
 ///
 /// # Errors
 ///
@@ -988,34 +933,19 @@ fn text_seek_range(path: &Path, start: u64, take: u64) -> Result<Option<AccessIt
 ///
 /// Panics if `interval == 0`.
 pub fn build_text_index(path: &Path, interval: u64) -> Result<SltrIndex, TraceIoError> {
-    use std::io::BufRead as _;
     assert!(interval > 0, "the index interval must be positive");
-    let mut reader = BufReader::new(File::open(path)?);
-    let mut line = String::new();
+    let mut text = TextBlocks::new(File::open(path)?, u64::MAX);
     let mut offsets = Vec::new();
-    let (mut count, mut pos) = (0u64, 0u64);
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        let bytes = reader.read_line(&mut line)?;
-        if bytes == 0 {
-            break;
+    let mut count = 0u64;
+    while text.next_access()?.is_some() {
+        if count > 0 && count.is_multiple_of(interval) {
+            offsets.push(text.line_start);
         }
-        lineno += 1;
-        let text = line.trim();
-        if !text.is_empty() && !text.starts_with('#') {
-            let _: u64 = text.parse().map_err(|_| TraceIoError::Parse {
-                line: lineno,
-                text: text.to_string(),
-            })?;
-            if count > 0 && count.is_multiple_of(interval) {
-                offsets.push(pos);
-            }
-            count += 1;
-        }
-        pos += bytes as u64;
+        count += 1;
     }
-    Ok(SltrIndex::from_parts(interval, count, pos, offsets))
+    // The last scan read to the end of the file, trailing comment lines
+    // included, so `offset` is the file length.
+    Ok(SltrIndex::from_parts(interval, count, text.offset, offsets))
 }
 
 /// True when the file starts with the `SLTR` magic (best-effort sniff).
@@ -1026,24 +956,6 @@ fn file_has_sltr_magic(path: &Path) -> bool {
     };
     let mut magic = [0u8; 4];
     file.read_exact(&mut magic).is_ok() && magic == crate::binio::SLTR_MAGIC
-}
-
-/// Applies `f` to every access of a text-format trace file, streaming.
-fn for_each_text_access(path: &Path, f: &mut dyn FnMut(u64)) -> Result<(), TraceIoError> {
-    let file = File::open(path)?;
-    for (idx, line) in BufReader::new(file).lines().enumerate() {
-        let line = line?;
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let addr: u64 = text.parse().map_err(|_| TraceIoError::Parse {
-            line: idx + 1,
-            text: text.to_string(),
-        })?;
-        f(addr);
-    }
-    Ok(())
 }
 
 /// FNV-1a over the address values, for in-memory source fingerprints.
@@ -1198,10 +1110,8 @@ mod tests {
             TraceSource::Memory(t.clone()),
         ] {
             assert_eq!(source.total_accesses().unwrap(), 18, "{source}");
-            let all: Vec<u64> = source.stream().unwrap().collect();
-            assert_eq!(all, as_u64(&t), "{source}");
-            let mid: Vec<u64> = source.stream_range(4, 9).unwrap().collect();
-            assert_eq!(mid, as_u64(&t)[4..9].to_vec(), "{source}");
+            assert_eq!(read_range(&source, 0, u64::MAX), as_u64(&t), "{source}");
+            assert_eq!(read_range(&source, 4, 9), as_u64(&t)[4..9], "{source}");
         }
         std::fs::remove_file(&text_path).ok();
         std::fs::remove_file(&bin_path).ok();
@@ -1249,8 +1159,8 @@ mod tests {
             (1999, 5000),
             (2000, 2000),
         ] {
-            let via_skip: Vec<u64> = a.stream_range(start, end).unwrap().collect();
-            let via_seek: Vec<u64> = b.stream_range(start, end).unwrap().collect();
+            let via_skip = read_range(&a, start, end);
+            let via_seek = read_range(&b, start, end);
             assert_eq!(via_seek, via_skip, "range {start}..{end}");
         }
         std::fs::remove_file(&plain).ok();
@@ -1273,48 +1183,103 @@ mod tests {
         }
     }
 
+    /// Accesses `start..end` of `source`, read through its block reader.
+    fn read_range(source: &TraceSource, start: u64, end: u64) -> Vec<u64> {
+        collect_blocks(source.stream_blocks_range(start, end).unwrap())
+    }
+
     #[test]
-    fn block_streams_equal_iterator_streams_for_every_kind() {
-        use crate::binio::{sltr_index_path, write_sltr_indexed};
+    fn block_streams_equal_batch_readers_for_every_kind() {
+        use crate::binio::{read_sltr, sltr_index_path, write_sltr_indexed};
+        use crate::io::read_trace;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(78);
         let t = zipfian_trace(50_000, 9500, 0.8, &mut rng);
+        let other = zipfian_trace(50_000, 7000, 0.8, &mut rng);
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let text = dir.join(format!("symloc_stream_blocks_{pid}.trace"));
-        let plain = dir.join(format!("symloc_stream_blocks_plain_{pid}.sltr"));
-        let indexed = dir.join(format!("symloc_stream_blocks_indexed_{pid}.sltr"));
-        write_trace(&t, &text).unwrap();
-        write_sltr(&t, &plain).unwrap();
-        write_sltr_indexed(&t, &indexed, 128).unwrap();
-        for source in [
-            TraceSource::Gen(GenSpec::parse("gen:zipf:100:9500:0.7:3").unwrap()),
-            TraceSource::Text(text.clone()),
-            TraceSource::Memory(t.clone()),
-            TraceSource::Binary(plain.clone()),
-            TraceSource::Binary(indexed.clone()),
-        ] {
-            // 9500 accesses spans multiple BLOCK_LEN refills; the ranges
-            // cover empty, sub-block, cross-block, and tail-clamped shapes.
+        let file = |name: &str| dir.join(format!("symloc_stream_blocks_{pid}_{name}"));
+        let mut sources = vec![
+            (
+                TraceSource::Gen(GenSpec::parse("gen:zipf:100:9500:0.7:3").unwrap()),
+                GenSpec::parse("gen:zipf:100:9500:0.7:3")
+                    .unwrap()
+                    .materialize(),
+            ),
+            (TraceSource::Memory(t.clone()), t.clone()),
+        ];
+        // Every file kind with a valid sidecar (interval 128), a stale one
+        // (left behind by a different trace) and none; each is checked
+        // against its format's batch reader.
+        for sidecar in ["valid", "stale", "missing"] {
+            let text = file(&format!("{sidecar}.trace"));
+            let sltr = file(&format!("{sidecar}.sltr"));
+            match sidecar {
+                "valid" => {
+                    write_trace(&t, &text).unwrap();
+                    build_text_index(&text, 128)
+                        .unwrap()
+                        .write(sltr_index_path(&text))
+                        .unwrap();
+                    write_sltr_indexed(&t, &sltr, 128).unwrap();
+                }
+                "stale" => {
+                    write_trace(&other, &text).unwrap();
+                    build_text_index(&text, 128)
+                        .unwrap()
+                        .write(sltr_index_path(&text))
+                        .unwrap();
+                    write_trace(&t, &text).unwrap();
+                    write_sltr_indexed(&other, &sltr, 128).unwrap();
+                    write_sltr(&t, &sltr).unwrap();
+                }
+                _ => {
+                    write_trace(&t, &text).unwrap();
+                    write_sltr(&t, &sltr).unwrap();
+                }
+            }
+            assert_eq!(
+                sltr_index_path(&text).exists(),
+                sidecar != "missing",
+                "{sidecar}"
+            );
+            sources.push((TraceSource::Text(text.clone()), read_trace(&text).unwrap()));
+            sources.push((TraceSource::Binary(sltr.clone()), read_sltr(&sltr).unwrap()));
+        }
+        for (source, batch) in &sources {
+            let batch = as_u64(batch);
+            assert_eq!(batch.len(), 9500, "{source}");
+            // 9500 accesses span multiple BLOCK_LEN refills; the ranges
+            // are empty, sub-block, cross an index interval or a block
+            // boundary, are clamped at the tail, or start past the end.
             for (start, end) in [
                 (0u64, 9500u64),
                 (0, 17),
                 (127, 129),
+                (250, 1300),
                 (4095, 4099),
+                (4000, 8300),
                 (9000, 50_000),
                 (9500, 9500),
+                (9499, 9501),
                 (20_000, 30_000),
+                (u64::MAX - 1, u64::MAX),
             ] {
-                let via_iter: Vec<u64> = source.stream_range(start, end).unwrap().collect();
-                let via_blocks = collect_blocks(source.stream_blocks_range(start, end).unwrap());
-                assert_eq!(via_blocks, via_iter, "{source} range {start}..{end}");
+                let expect = &batch[batch.len().min(start as usize)..batch.len().min(end as usize)];
+                assert_eq!(
+                    read_range(source, start, end),
+                    expect,
+                    "{source} range {start}..{end}"
+                );
             }
         }
-        std::fs::remove_file(&text).ok();
-        std::fs::remove_file(&plain).ok();
-        std::fs::remove_file(&indexed).ok();
-        std::fs::remove_file(sltr_index_path(&indexed)).ok();
+        for (source, _) in &sources {
+            if let TraceSource::Text(path) | TraceSource::Binary(path) = source {
+                std::fs::remove_file(path).ok();
+                std::fs::remove_file(sltr_index_path(path)).ok();
+            }
+        }
     }
 
     #[test]
@@ -1331,12 +1296,15 @@ mod tests {
         write_sltr(&sawtooth_trace(30, 10), &path).unwrap();
         let err = source.total_accesses().unwrap_err();
         assert!(err.to_string().contains("stale"), "{err}");
-        // Streaming falls back to decode-skip rather than mis-seeking —
-        // on both the iterator and the block path.
-        let all: Vec<u64> = source.stream_range(0, 10).unwrap().collect();
-        assert_eq!(all, as_u64(&sawtooth_trace(30, 10))[..10].to_vec());
-        let blocks = collect_blocks(source.stream_blocks_range(3, 10).unwrap());
-        assert_eq!(blocks, as_u64(&sawtooth_trace(30, 10))[3..10].to_vec());
+        // Streaming falls back to decode-skip rather than mis-seeking.
+        assert_eq!(
+            read_range(&source, 0, 10),
+            as_u64(&sawtooth_trace(30, 10))[..10]
+        );
+        assert_eq!(
+            read_range(&source, 3, 10),
+            as_u64(&sawtooth_trace(30, 10))[3..10]
+        );
 
         // A corrupt sidecar is also a loud validation error.
         std::fs::write(&sidecar, b"garbage").unwrap();
@@ -1390,7 +1358,7 @@ mod tests {
             (1500, 1500),
         ]
         .iter()
-        .map(|&(a, b)| source.stream_range(a, b).unwrap().collect())
+        .map(|&(a, b)| read_range(&source, a, b))
         .collect();
         // Build and write the line-offset index; ranges must now seek and
         // still yield identical accesses, and validation must pass.
@@ -1411,8 +1379,7 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let via_seek: Vec<u64> = source.stream_range(a, b).unwrap().collect();
-            assert_eq!(via_seek, plain[i], "range {a}..{b}");
+            assert_eq!(read_range(&source, a, b), plain[i], "range {a}..{b}");
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&sidecar).ok();
@@ -1433,8 +1400,7 @@ mod tests {
         index.write(&sidecar).unwrap();
         let source = TraceSource::Text(path.clone());
         assert_eq!(source.total_accesses().unwrap(), 5);
-        let got: Vec<u64> = source.stream_range(2, 5).unwrap().collect();
-        assert_eq!(got, vec![12, 13, 14]);
+        assert_eq!(read_range(&source, 2, 5), vec![12, 13, 14]);
         // Malformed content is a parse error with its line number.
         std::fs::write(&path, "0\nnope\n").unwrap();
         assert!(build_text_index(&path, 2).is_err());
@@ -1464,8 +1430,7 @@ mod tests {
         write_trace(&sawtooth_trace(20, 5), &path).unwrap();
         let err = source.total_accesses().unwrap_err();
         assert!(err.to_string().contains("stale"), "{err}");
-        let got: Vec<u64> = source.stream_range(0, 5).unwrap().collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        assert_eq!(read_range(&source, 0, 5), vec![0, 1, 2, 3, 4]);
 
         // A corrupt sidecar is a loud validation error too.
         std::fs::write(&sidecar, b"garbage").unwrap();
@@ -1479,7 +1444,7 @@ mod tests {
     fn total_accesses_reports_file_errors() {
         let missing = TraceSource::Text(PathBuf::from("/no/such/file.trace"));
         assert!(missing.total_accesses().is_err());
-        assert!(missing.stream().is_err());
+        assert!(missing.stream_blocks_range(0, 1).is_err());
         let path = std::env::temp_dir().join("symloc_stream_bad_test.trace");
         std::fs::write(&path, "0\nnot-a-number\n").unwrap();
         let bad = TraceSource::Text(path.clone());

@@ -17,7 +17,9 @@
 //! engine, simulates every tenant at its allocated size, and reports
 //! predicted vs simulated aggregate miss ratio — plus the same
 //! simulation under an equal split, so the solver's advantage is
-//! measured, not asserted.
+//! measured, not asserted. A source that no longer parses, or no longer
+//! holds the access count its report recorded, is an error naming the
+//! tenant and the source.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -76,11 +78,12 @@ pub(crate) const PARTITION: CommandSpec = CommandSpec {
     flags: &[CHECKPOINT, POINTS, FLOOR, CAP, VERIFY, JSON],
 };
 
-/// One tenant's curve plus the trace source it was measured over (when
-/// the report recorded a reconstructible one).
+/// One tenant's curve plus the fingerprint of the trace source it was
+/// measured over and the access count recorded with it (when the report
+/// recorded a source).
 struct ReportTenant {
     curve: TenantCurve,
-    source: Option<String>,
+    source: Option<(String, u64)>,
 }
 
 /// Extracts `[[size, ratio], ...]` into [`MrcPoint`]s.
@@ -148,7 +151,7 @@ fn load_report(path: &str) -> Result<ReportTenant, CliError> {
         source: doc
             .get("source")
             .and_then(JsonValue::as_str)
-            .map(ToString::to_string),
+            .map(|source| (source.to_string(), accesses)),
     })
 }
 
@@ -162,7 +165,10 @@ struct SimulatedTenant {
 }
 
 /// Replays every tenant's trace source through the exact engine and
-/// simulates both the solver's allocation and the equal split.
+/// simulates both the solver's allocation and the equal split. Each
+/// source is validated first, and must still hold the number of accesses
+/// its report recorded: a changed trace would simulate a different
+/// workload than the one the curve describes.
 fn simulate(
     tenants: &[ReportTenant],
     solution: &PartitionSolution,
@@ -170,19 +176,32 @@ fn simulate(
 ) -> Result<Vec<SimulatedTenant>, CliError> {
     let mut rows = Vec::with_capacity(tenants.len());
     for (tenant, allocation) in tenants.iter().zip(&solution.allocations) {
-        let fingerprint = tenant.source.as_deref().ok_or_else(|| {
+        let name = tenant.curve.name();
+        let (fingerprint, recorded) = tenant.source.as_ref().ok_or_else(|| {
             CliError(format!(
-                "tenant {:?}: report records no trace source to replay (--verify needs one)",
-                tenant.curve.name()
+                "tenant {name:?}: report records no trace source to replay (--verify needs one)"
             ))
         })?;
         let source = TraceSource::from_fingerprint(fingerprint)
-            .map_err(|e| CliError(format!("tenant {:?}: {e}", tenant.curve.name())))?;
+            .map_err(|e| CliError(format!("tenant {name:?}: {e}")))?;
+        let cannot_replay = |e: &dyn std::fmt::Display| {
+            CliError(format!("tenant {name:?}: cannot replay {fingerprint}: {e}"))
+        };
+        let total = source.total_accesses().map_err(|e| cannot_replay(&e))?;
+        if total != *recorded {
+            return Err(cannot_replay(&format!(
+                "it holds {total} accesses, but the report recorded {recorded} \
+                 (the trace changed since the report was written)"
+            )));
+        }
         let mut engine = OnlineReuseEngine::new();
-        let stream = source
-            .stream()
-            .map_err(|e| CliError(format!("cannot replay {fingerprint}: {e}")))?;
-        engine.record_all(stream);
+        let mut blocks = source
+            .stream_blocks_range(0, total)
+            .map_err(|e| cannot_replay(&e))?;
+        let mut buf = Vec::new();
+        while blocks.next_block(&mut buf) > 0 {
+            engine.record_block(&buf);
+        }
         let histogram = engine.histogram();
         let at = |size: u64| histogram.miss_ratio(usize::try_from(size).unwrap_or(usize::MAX));
         rows.push(SimulatedTenant {

@@ -14,9 +14,11 @@ use symloc_core::tracesweep::{
 };
 use symloc_par::default_threads;
 use symloc_trace::binio::{
-    build_sltr_index, sltr_index_path, SltrIndex, SltrWriter, DEFAULT_INDEX_INTERVAL,
+    build_sltr_index, sltr_index_path, SltrError, SltrIndex, SltrWriter, DEFAULT_INDEX_INTERVAL,
 };
-use symloc_trace::stream::{build_text_index, AccessSink as _, MeteredSink, TraceSource};
+use symloc_trace::stream::{
+    build_text_index, AccessBlocks, AccessSink as _, BlockRead, MeteredSink, TraceSource,
+};
 
 const EXACT: FlagSpec = FlagSpec::switch(
     "--exact",
@@ -182,23 +184,11 @@ pub fn parse_trace_mrc_options(args: &[String]) -> Result<TraceMrcOptions, CliEr
     Ok(options)
 }
 
-/// Opens a fully validated stream over `source`: scans it once (catching
-/// unreadable files and malformed content as a [`CliError`] instead of the
-/// panic `stream_range` reserves for validated sources), then streams.
-fn validated_stream(source: &TraceSource) -> Result<symloc_trace::stream::AccessIter, CliError> {
-    source
-        .total_accesses()
-        .map_err(|e| CliError(format!("cannot read {source}: {e}")))?;
-    source
-        .stream()
-        .map_err(|e| CliError(format!("cannot read {source}: {e}")))
-}
-
-/// Block-streaming counterpart of [`validated_stream`] — the shape the
-/// exact hot loop consumes ([`OnlineReuseEngine::record_block`]).
-fn validated_block_stream(
-    source: &TraceSource,
-) -> Result<symloc_trace::stream::AccessBlocks, CliError> {
+/// Opens a block reader over the whole of a fully validated `source`:
+/// scans it once (catching unreadable files and malformed content as a
+/// [`CliError`] instead of the panic block readers reserve for validated
+/// sources), then streams.
+fn validated_blocks(source: &TraceSource) -> Result<AccessBlocks, CliError> {
     let total = source
         .total_accesses()
         .map_err(|e| CliError(format!("cannot read {source}: {e}")))?;
@@ -283,7 +273,11 @@ pub fn trace_mrc(args: &[String]) -> Result<String, CliError> {
             // The bounded-memory sampled estimator: one sequential pass.
             let mut estimator = ShardsEstimator::new(s_max);
             let span = Span::start();
-            estimator.record_all(validated_stream(source)?);
+            let mut blocks = validated_blocks(source)?;
+            let mut buf = Vec::new();
+            while blocks.next_block(&mut buf) > 0 {
+                estimator.record_all(buf.iter().copied());
+            }
             registry.set_gauge("job.elapsed_secs", span.elapsed_secs());
             span.record(&mut registry, "trace.total_nanos");
             estimator.record_gauges(&mut registry);
@@ -310,7 +304,7 @@ pub fn trace_mrc(args: &[String]) -> Result<String, CliError> {
             // engine is unchanged, so the curve is byte-identical to the
             // unmetered loop.
             let mut sink = MeteredSink::new(OnlineReuseEngine::new());
-            let mut blocks = validated_block_stream(source)?;
+            let mut blocks = validated_blocks(source)?;
             let mut buf = Vec::new();
             loop {
                 let decode = Span::start();
@@ -398,7 +392,10 @@ fn side_report(
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] on malformed arguments or I/O failures.
+/// Returns a [`CliError`] on malformed arguments, I/O failures, or an
+/// output that names the source file itself (the same canonical path, or
+/// on Unix the same device and inode), which is refused before the output
+/// is created, so the input is never truncated.
 pub fn trace_convert(args: &[String]) -> Result<String, CliError> {
     if help_requested(args) {
         return Ok(TRACE_CONVERT.help());
@@ -415,73 +412,74 @@ pub fn trace_convert(args: &[String]) -> Result<String, CliError> {
         .clone();
     let interval = parsed.u64(INDEX.name)?.unwrap_or(DEFAULT_INDEX_INTERVAL);
     let source = TraceSource::parse(source_arg).map_err(CliError)?;
-    let stream = validated_stream(&source)?;
+    if let TraceSource::Text(input) | TraceSource::Binary(input) = &source {
+        if same_file(input, Path::new(&out_path)) {
+            return Err(CliError(format!(
+                "trace convert: the output {out_path} is the source file {}; \
+                 refusing to overwrite the trace being read",
+                input.display()
+            )));
+        }
+    }
+    let mut blocks = validated_blocks(&source)?;
     let binary = Path::new(&out_path)
         .extension()
         .is_some_and(|e| e == "sltr");
-    let sidecar = sltr_index_path(Path::new(&out_path));
-    let mut indexed = false;
-    let written = if binary {
-        let io_err = |e| CliError(format!("cannot write {out_path}: {e}"));
-        let file = std::fs::File::create(&out_path)
-            .map_err(|e| CliError(format!("cannot create {out_path}: {e}")))?;
-        if interval > 0 {
-            let mut writer = SltrWriter::new_indexed(file, interval).map_err(io_err)?;
-            for addr in stream {
-                writer.push(addr).map_err(io_err)?;
-            }
-            let (written, index) = writer.finish_indexed().map_err(io_err)?;
-            index
-                .write(&sidecar)
-                .map_err(|e| CliError(format!("cannot write {}: {e}", sidecar.display())))?;
-            indexed = true;
-            written
+    let file = std::fs::File::create(&out_path)
+        .map_err(|e| CliError(format!("cannot create {out_path}: {e}")))?;
+    let write_err = |e: &dyn std::fmt::Display| CliError(format!("cannot write {out_path}: {e}"));
+    let (written, index) = if binary {
+        let sltr_err = |e: SltrError| write_err(&e);
+        let mut writer = if interval > 0 {
+            SltrWriter::new_indexed(file, interval)
         } else {
-            // --index 0: no sidecar, and make sure a stale one from a
-            // previous conversion cannot outlive the new payload.
-            std::fs::remove_file(&sidecar).ok();
-            let mut writer = SltrWriter::new(file).map_err(io_err)?;
-            for addr in stream {
-                writer.push(addr).map_err(io_err)?;
-            }
-            writer.finish().map_err(io_err)?
+            SltrWriter::new(file)
+        }
+        .map_err(sltr_err)?;
+        for_each_access(blocks.as_mut(), |addr| writer.push(addr)).map_err(sltr_err)?;
+        if interval > 0 {
+            let (written, index) = writer.finish_indexed().map_err(sltr_err)?;
+            (written, Some(index))
+        } else {
+            (writer.finish().map_err(sltr_err)?, None)
         }
     } else {
         use std::io::Write as _;
-        let file = std::fs::File::create(&out_path)
-            .map_err(|e| CliError(format!("cannot create {out_path}: {e}")))?;
         let mut writer = std::io::BufWriter::new(file);
-        let mut written = 0u64;
-        let mut bytes = 0u64;
+        let header = "# symloc trace\n";
+        let (mut written, mut bytes) = (0u64, header.len() as u64);
         let mut offsets = Vec::new();
-        (|| -> std::io::Result<()> {
-            let header = "# symloc trace\n";
-            writer.write_all(header.as_bytes())?;
-            bytes += header.len() as u64;
-            let mut line = String::new();
-            for addr in stream {
-                if interval > 0 && written > 0 && written.is_multiple_of(interval) {
-                    offsets.push(bytes);
-                }
-                line.clear();
-                let _ = writeln!(line, "{addr}");
-                writer.write_all(line.as_bytes())?;
-                bytes += line.len() as u64;
-                written += 1;
+        let mut line = String::new();
+        writer
+            .write_all(header.as_bytes())
+            .map_err(|e| write_err(&e))?;
+        for_each_access(blocks.as_mut(), |addr| {
+            if interval > 0 && written > 0 && written.is_multiple_of(interval) {
+                offsets.push(bytes);
             }
-            writer.flush()
-        })()
-        .map_err(|e| CliError(format!("cannot write {out_path}: {e}")))?;
-        if interval > 0 {
-            SltrIndex::from_parts(interval, written, bytes, offsets)
-                .write(&sidecar)
-                .map_err(|e| CliError(format!("cannot write {}: {e}", sidecar.display())))?;
-            indexed = true;
-        } else {
-            std::fs::remove_file(&sidecar).ok();
-        }
-        written
+            line.clear();
+            let _ = writeln!(line, "{addr}");
+            bytes += line.len() as u64;
+            written += 1;
+            writer.write_all(line.as_bytes())
+        })
+        .and_then(|()| writer.flush())
+        .map_err(|e| write_err(&e))?;
+        let index =
+            (interval > 0).then(|| SltrIndex::from_parts(interval, written, bytes, offsets));
+        (written, index)
     };
+    let sidecar = sltr_index_path(Path::new(&out_path));
+    if let Some(index) = &index {
+        index
+            .write(&sidecar)
+            .map_err(|e| CliError(format!("cannot write {}: {e}", sidecar.display())))?;
+    } else {
+        // --index 0: make sure a stale sidecar from a previous conversion
+        // cannot outlive the new payload.
+        std::fs::remove_file(&sidecar).ok();
+    }
+    let indexed = index.is_some();
     Ok(format!(
         "converted {source} -> {out_path} ({written} accesses, {} format{})\n",
         if binary { "sltr" } else { "text" },
@@ -494,6 +492,36 @@ pub fn trace_convert(args: &[String]) -> Result<String, CliError> {
             String::new()
         }
     ))
+}
+
+/// Feeds every access of `blocks` to `push`, stopping at its first error.
+fn for_each_access<E>(
+    blocks: &mut dyn BlockRead,
+    mut push: impl FnMut(u64) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut buf = Vec::new();
+    while blocks.next_block(&mut buf) > 0 {
+        for &addr in &buf {
+            push(addr)?;
+        }
+    }
+    Ok(())
+}
+
+/// True when `a` and `b` name one existing file: the same canonical path,
+/// or (on Unix, catching hard links) the same device and inode.
+fn same_file(a: &Path, b: &Path) -> bool {
+    if let (Ok(a), Ok(b)) = (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+        if a == b {
+            return true;
+        }
+    }
+    #[cfg(unix)]
+    if let (Ok(a), Ok(b)) = (std::fs::metadata(a), std::fs::metadata(b)) {
+        use std::os::unix::fs::MetadataExt as _;
+        return (a.dev(), a.ino()) == (b.dev(), b.ino());
+    }
+    false
 }
 
 /// `symloc trace index <file> [--interval N]` — builds the seekable
@@ -580,6 +608,16 @@ mod tests {
     use crate::cli::sargs;
     use symloc_core::jsonio::{self, JsonValue};
     use symloc_trace::io::read_trace;
+
+    /// Accesses `start..end` of `source`, read through its block reader.
+    fn read_range(source: &TraceSource, start: u64, end: u64) -> Vec<u64> {
+        let mut blocks = source.stream_blocks_range(start, end).unwrap();
+        let (mut all, mut buf) = (Vec::new(), Vec::new());
+        while blocks.next_block(&mut buf) > 0 {
+            all.extend_from_slice(&buf);
+        }
+        all
+    }
 
     #[test]
     fn trace_mrc_option_parsing() {
@@ -993,9 +1031,10 @@ mod tests {
         assert!(sidecar.exists());
         let source = TraceSource::Text(text.clone());
         assert_eq!(source.total_accesses().unwrap(), 3000);
-        let with_index: Vec<u64> = source.stream_range(640, 700).unwrap().collect();
+        let with_index = read_range(&source, 640, 700);
         std::fs::remove_file(&sidecar).unwrap();
-        let without: Vec<u64> = source.stream_range(640, 700).unwrap().collect();
+        let without = read_range(&source, 640, 700);
+        assert_eq!(with_index.len(), 60);
         assert_eq!(with_index, without);
         std::fs::remove_file(&text).ok();
     }
@@ -1036,8 +1075,7 @@ mod tests {
             TraceSource::Text(text.clone()),
         ] {
             assert_eq!(source.total_accesses().unwrap(), 300);
-            let got: Vec<u64> = source.stream_range(64, 66).unwrap().collect();
-            assert_eq!(got.len(), 2);
+            assert_eq!(read_range(&source, 64, 66).len(), 2);
         }
         // Rejections: generator specs, zero intervals, missing files.
         assert!(trace_index(&sargs("gen:cyclic:4:2")).is_err());

@@ -229,8 +229,11 @@ fn bogus_sltr_indexes_are_errors_not_panics() {
     ));
     // Streaming never trusts a mismatched index: it falls back to
     // decode-skip and still yields the true content.
-    let got: Vec<u64> = source.stream_range(64, 70).unwrap().collect();
+    let mut blocks = source.stream_blocks_range(64, 70).unwrap();
+    let mut got = Vec::new();
+    assert_eq!(blocks.next_block(&mut got), 6);
     assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
+    assert_eq!(blocks.next_block(&mut got), 0);
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&sidecar).ok();
@@ -935,4 +938,110 @@ fn serve_lines_over_the_length_cap_answer_err_and_resync() {
         ["OK tenant t", "ERR line too long", "OK pong", "OK wss t 1"],
         "{out:.200}"
     );
+}
+
+#[test]
+fn trace_convert_refuses_to_overwrite_its_own_source() {
+    use symmetric_locality::cli;
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_convert_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| cli::run(&args.iter().map(ToString::to_string).collect::<Vec<_>>());
+    for name in ["x.sltr", "y.trace"] {
+        let path = dir.join(name);
+        let path_str = path.to_str().unwrap();
+        run(&["trace", "convert", "gen:zipf:50:300:0.8:3", path_str]).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // The same path, the same file under a different spelling, and a
+        // hard link to it all name the source: each is refused by name
+        // before the output is created, leaving the input untouched.
+        let respelled = dir.join(".").join(name);
+        let linked = dir.join(format!("link-{name}"));
+        std::fs::hard_link(&path, &linked).unwrap();
+        for out in [path.clone(), respelled, linked.clone()] {
+            let err = run(&["trace", "convert", path_str, out.to_str().unwrap()]).unwrap_err();
+            assert!(err.0.contains("is the source file"), "{name}: {err}");
+            assert_eq!(std::fs::read(&path).unwrap(), before, "{name} was modified");
+        }
+        std::fs::remove_file(&linked).unwrap();
+        // A distinct output still converts.
+        let copy = dir.join(format!("copy-{name}"));
+        run(&["trace", "convert", path_str, copy.to_str().unwrap()]).unwrap();
+        assert_eq!(std::fs::read(&copy).unwrap(), before, "{name} copy");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writes tenants `a` (zipf) and `b` (random), 2000 accesses each, as
+/// text traces with their `trace mrc --json` reports under a fresh `tag`
+/// directory, and returns the directory.
+fn partition_verify_fixture(tag: &str) -> std::path::PathBuf {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use symmetric_locality::cli;
+    use symmetric_locality::trace::io::write_trace;
+    let dir = std::env::temp_dir().join(format!("symloc_failinj_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut rng = StdRng::seed_from_u64(5);
+    write_trace(
+        &zipfian_trace(200, 2000, 1.1, &mut rng),
+        dir.join("a.trace"),
+    )
+    .unwrap();
+    write_trace(&random_trace(200, 2000, &mut rng), dir.join("b.trace")).unwrap();
+    for tenant in ["a", "b"] {
+        let trace = dir.join(format!("{tenant}.trace"));
+        let args = ["trace", "mrc", trace.to_str().unwrap(), "--json"].map(String::from);
+        let json = cli::run(&args).unwrap();
+        std::fs::write(dir.join(format!("{tenant}.json")), json).unwrap();
+    }
+    dir
+}
+
+/// `symloc partition 64 a.json b.json --verify` over a fixture directory.
+fn partition_verify(dir: &std::path::Path) -> Result<String, String> {
+    let report = |tenant: &str| dir.join(tenant).to_str().unwrap().to_string();
+    let args = [
+        "partition".to_string(),
+        "64".to_string(),
+        report("a.json"),
+        report("b.json"),
+        "--verify".to_string(),
+    ];
+    symmetric_locality::cli::run(&args).map_err(|e| e.0)
+}
+
+/// Appends `text` to the file at `path`.
+fn append(path: &std::path::Path, text: &str) {
+    use std::io::Write as _;
+    let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+    file.write_all(text.as_bytes()).unwrap();
+}
+
+#[test]
+fn partition_verify_names_a_source_edited_into_malformed_content() {
+    let dir = partition_verify_fixture("verify_malformed");
+    partition_verify(&dir).unwrap();
+    let a = dir.join("a.trace");
+    append(&a, "not-a-number\n");
+    // A named error, never a panic.
+    let err = partition_verify(&dir).unwrap_err();
+    assert!(err.contains("tenant \"a\""), "{err}");
+    assert!(err.contains(a.to_str().unwrap()), "{err}");
+    assert!(err.contains("line 2004"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn partition_verify_rejects_a_source_whose_length_changed() {
+    let dir = partition_verify_fixture("verify_length");
+    let a = dir.join("a.trace");
+    // Still parses, one access longer: replaying it would simulate a
+    // different trace than the report's curve describes.
+    append(&a, "7\n");
+    let err = partition_verify(&dir).unwrap_err();
+    assert!(err.contains("tenant \"a\""), "{err}");
+    assert!(err.contains(a.to_str().unwrap()), "{err}");
+    assert!(err.contains("holds 2001 accesses"), "{err}");
+    assert!(err.contains("recorded 2000"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }

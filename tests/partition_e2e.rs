@@ -93,9 +93,12 @@ fn partition_answers_survive_restart_and_match_the_offline_cli() {
     let mut state = ServeState::new(256, 8).unwrap();
     for (name, spec) in [("skewed", SKEWED), ("uniform", UNIFORM)] {
         let source = TraceSource::from_fingerprint(spec).unwrap();
-        let block: Vec<u64> = source.stream().unwrap().collect();
+        let mut blocks = source.stream_blocks_range(0, u64::MAX).unwrap();
         let index = state.ensure_tenant(name).unwrap();
-        state.record_block(index, &block);
+        let mut block = Vec::new();
+        while blocks.next_block(&mut block) > 0 {
+            state.record_block(index, &block);
+        }
     }
     let first = state.partition(160).unwrap().render_compact();
     state.note_partition(
